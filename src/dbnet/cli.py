@@ -1,7 +1,9 @@
 """Command-line interface: validate, simulate, and explore scenarios.
 
 Exit codes: 0 success (including truncated exploration, reported as a
-warning), 1 parse/validation failure, 2 I/O failure, 3 bad run configuration.
+warning), 1 parse/validation failure, 2 I/O failure, 3 bad run configuration,
+141 standard output closed by its reader (e.g. `| head -1`), which ends the
+run quietly.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_CONFIG = 3
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
 
 def _use_color(stream) -> bool:
@@ -390,7 +393,7 @@ def _check_exhaustive_domains(scenario: dsl.Scenario) -> None:
     """Exhaustive exploration needs an input domain for every external
     normal variable; fail early with a config error instead of mid-run."""
     for t in scenario.net.transitions.values():
-        for v in sorted(t.external_vars() - t.fresh_vars(), key=lambda v: v.name):
+        for v in scenario.net.compiled(t).external:
             if v.type_name not in scenario.domains:
                 raise ConfigError(
                     f"transition {t.name!r}: external variable {v.name!r} needs an "
@@ -443,10 +446,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except DbNetError as exc:
         _emit(f"error: {exc}")
         return EXIT_INVALID
+    except BrokenPipeError:
+        # The reader is gone; point stdout at devnull so that the interpreter's
+        # own flush at exit does not fail on the same pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Optional
 
-from .datalogic import DataLogicLayer, validate_action
+from .datalogic import Action, DataLogicLayer, validate_action
 from .datatypes import Term, TypeDomain, Value, Variable
 from .errors import DefinitionError
-from .multiset import Multiset
+from .multiset import EMPTY, Multiset
 from .persistence import PersistenceLayer
 from .query import Guard, Truth, all_vars, validate_query
 
@@ -100,7 +100,11 @@ class Transition:
 
 
 class DbNet:
-    """The assembled four-layer bundle."""
+    """The assembled four-layer bundle.
+
+    Constraints are evaluated over the net's type domain: a persistence
+    layer defined over another one (or over none) is rebound to `types`.
+    """
 
     def __init__(
         self,
@@ -111,6 +115,8 @@ class DbNet:
         transitions: Iterable[Transition],
     ):
         self.types = types
+        if persistence.types is not types:
+            persistence = PersistenceLayer(persistence.schema, persistence.constraints, types)
         self.persistence = persistence
         self.logic = logic
         self.places: dict[str, Place] = {}
@@ -123,15 +129,87 @@ class DbNet:
             if t.name in self.transitions:
                 raise DefinitionError(f"duplicate transition name {t.name!r}")
             self.transitions[t.name] = t
+        self._control_places = tuple(p for p in self.places.values() if p.kind == "control")
+        self._view_places = tuple(p for p in self.places.values() if p.kind == "view")
+        self._sorted_transitions = tuple(self.transitions[name] for name in sorted(self.transitions))
+        self._compiled: dict[str, CompiledTransition] = {}
 
-    def control_places(self) -> list[Place]:
-        return [p for p in self.places.values() if p.kind == "control"]
+    def control_places(self) -> tuple[Place, ...]:
+        return self._control_places
 
-    def view_places(self) -> list[Place]:
-        return [p for p in self.places.values() if p.kind == "view"]
+    def view_places(self) -> tuple[Place, ...]:
+        return self._view_places
 
-    def sorted_transitions(self) -> list[Transition]:
-        return [self.transitions[name] for name in sorted(self.transitions)]
+    def sorted_transitions(self) -> tuple[Transition, ...]:
+        return self._sorted_transitions
+
+    def compiled(self, t: Transition) -> "CompiledTransition":
+        """The static firing data of `t`, derived on first use and kept for
+        the net's own transitions (a foreign `t` is compiled on every call)."""
+        c = self._compiled.get(t.name)
+        if c is None or c.transition is not t:
+            c = compile_transition(self, t)
+            if self.transitions.get(t.name) is t:
+                self._compiled[t.name] = c
+        return c
+
+
+def var_key(v: Variable):
+    return (v.name, v.type_name)
+
+
+@dataclass(frozen=True)
+class CompiledTransition:
+    """What binding enumeration, enablement and firing need of a transition,
+    computed once instead of on every call."""
+
+    transition: Transition
+    #: One matching slot (input place, inscription tuple) per tuple
+    #: occurrence, in canonical arc/tuple order.
+    slots: tuple[tuple[str, tuple[Term, ...]], ...]
+    variables: frozenset[Variable]
+    #: Non-fresh output-side variables bound by no input arc, sorted.
+    external: tuple[Variable, ...]
+    fresh: tuple[Variable, ...]  # sorted
+    #: The bound action (None without one, or when its name is unknown)
+    #: and its formal parameter -> actual term pairs.
+    action: Optional[Action]
+    action_args: tuple[tuple[Variable, Term], ...]
+    #: (control place, input, output, rollback inscription) for every
+    #: control place an arc of the transition touches.
+    arcs: tuple[tuple[str, Inscription, Inscription, Inscription], ...]
+
+
+def compile_transition(net: DbNet, t: Transition) -> CompiledTransition:
+    slots: list[tuple[str, tuple[Term, ...]]] = []
+    for place_name in sorted(t.inputs):
+        for tup, mult in t.inputs[place_name].sorted_items(tuple_key):
+            slots.extend([(place_name, tup)] * mult)
+    fresh = t.fresh_vars()
+    action = None if t.action is None else net.logic.actions.get(t.action.action_name)
+    touched = sorted(
+        name
+        for name in set(t.inputs) | set(t.outputs) | set(t.rollbacks)
+        if name in net.places and net.places[name].kind == "control"
+    )
+    return CompiledTransition(
+        transition=t,
+        slots=tuple(slots),
+        variables=t.variables(),
+        external=tuple(sorted(t.external_vars() - fresh, key=var_key)),
+        fresh=tuple(sorted(fresh, key=var_key)),
+        action=action,
+        action_args=() if action is None else tuple(zip(action.params, t.action.args)),
+        arcs=tuple(
+            (
+                name,
+                t.inputs.get(name, EMPTY),
+                t.outputs.get(name, EMPTY),
+                t.rollbacks.get(name, EMPTY),
+            )
+            for name in touched
+        ),
+    )
 
 
 @dataclass(frozen=True)

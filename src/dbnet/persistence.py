@@ -177,12 +177,19 @@ class ComplianceReport:
 
 
 class PersistenceLayer:
-    """A database schema together with boolean first-order constraints."""
+    """A database schema together with boolean first-order constraints,
+    evaluated over `types` (the built-in catalog when it is None)."""
 
-    def __init__(self, schema: DatabaseSchema, constraints: Iterable[Constraint] = ()):
+    def __init__(
+        self,
+        schema: DatabaseSchema,
+        constraints: Iterable[Constraint] = (),
+        types: TypeDomain | None = None,
+    ):
         from .query import free_vars
 
         self.schema = schema
+        self.types = types
         self.constraints: tuple[Constraint, ...] = tuple(constraints)
         self.cache_token = fresh_cache_token()
         seen: set[str] = set()
@@ -195,14 +202,17 @@ class PersistenceLayer:
 
 
 def check_compliance(layer: PersistenceLayer, instance: DatabaseInstance) -> ComplianceReport:
-    """Evaluate every constraint; report the names of the violated ones."""
+    """Evaluate every constraint over the layer's type domain; report the
+    names of the violated ones."""
     cached = instance.cached_compliance(layer.cache_token)
     if cached is not None:
         return cached
     from .query import entails
 
     violated = tuple(
-        c.name for c in layer.constraints if not entails(instance, {}, c.query)
+        c.name
+        for c in layer.constraints
+        if not entails(instance, {}, c.query, types=layer.types)
     )
     report = ComplianceReport(ok=not violated, violated=violated)
     return instance.store_compliance(layer.cache_token, report)

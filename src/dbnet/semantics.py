@@ -14,9 +14,9 @@ import hashlib
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .control import DbNet, Inscription, Transition, token_key, tuple_key
+from .control import DbNet, Inscription, Transition, token_key
 from .datalogic import ActionInstance, apply_raw, instantiate
 from .datatypes import (
     FreshSource,
@@ -60,6 +60,13 @@ class Marking:
 
     def place_names(self) -> frozenset[str]:
         return frozenset(self._places)
+
+    def updated(self, changes: Mapping[str, Multiset]) -> "Marking":
+        """This marking with the given places replaced; the other places'
+        multisets are shared, not copied."""
+        places = dict(self._places)
+        places.update(changes)
+        return Marking(places)
 
     def active_domain(self, type_name: str) -> frozenset[Value]:
         cached = self._adom.get(type_name)
@@ -166,7 +173,8 @@ def snapshot_active_domain(snap: Snapshot, type_name: str) -> frozenset[Value]:
 
 def is_enabled(net: DbNet, snap: Snapshot, t: Transition, sigma: Substitution) -> bool:
     """The three enablement clauses: token matching, guard, freshness."""
-    for v in t.variables():
+    compiled = net.compiled(t)
+    for v in compiled.variables:
         if v not in sigma:
             raise BindingError(f"binding does not cover {v!r}")
         if sigma[v].type_name != v.type_name:
@@ -176,7 +184,7 @@ def is_enabled(net: DbNet, snap: Snapshot, t: Transition, sigma: Substitution) -
             return False
     if not eval_guard(t.guard, sigma, types=net.types):
         return False
-    fresh = t.fresh_vars()
+    fresh = compiled.fresh
     chosen = [sigma[v] for v in fresh]
     if len(set(chosen)) != len(chosen):
         return False
@@ -192,9 +200,11 @@ def induced_action_instance(
     """Ground the bound action's formal parameters, if the transition has one."""
     if t.action is None:
         return None
-    action = net.logic.actions[t.action.action_name]
+    compiled = net.compiled(t)
+    if compiled.action is None:
+        raise DefinitionError(f"transition {t.name!r}: unknown action {t.action.action_name!r}")
     theta: Substitution = {}
-    for param, term in zip(action.params, t.action.args):
+    for param, term in compiled.action_args:
         if isinstance(term, Variable):
             try:
                 theta[param] = sigma[term]
@@ -202,7 +212,7 @@ def induced_action_instance(
                 raise BindingError(f"binding does not cover action argument {term!r}") from None
         else:
             theta[param] = term
-    return instantiate(action, theta)
+    return instantiate(compiled.action, theta)
 
 
 def _match_tuple(tup: tuple[Term, ...], token: Token, sigma: Substitution) -> Optional[list[Variable]]:
@@ -245,28 +255,21 @@ def enumerate_bindings(
     values seen earlier in a run (strict, run-global freshness).
     """
     domains = domains or {}
-
-    # One matching slot per tuple occurrence, in canonical arc/tuple order.
-    slots: list[tuple[str, tuple[Term, ...]]] = []
-    for place_name in sorted(t.inputs):
-        inscription = t.inputs[place_name]
-        for tup, mult in inscription.sorted_items(tuple_key):
-            slots.extend([(place_name, tup)] * mult)
-
+    compiled = net.compiled(t)
+    slots = compiled.slots
     tokens_cache = {
         place_name: snap.marking.tokens(place_name).sorted_items(token_key)
         for place_name in t.inputs
     }
 
     matched: list[Substitution] = []
-    seen: set[tuple] = set()
+    seen: set[frozenset] = set()
     sigma: Substitution = {}
     used: dict[tuple[str, Token], int] = {}
 
     def backtrack(i: int) -> None:
         if i == len(slots):
-            key = tuple(sorted(((v.name, v.type_name, v.fresh), val) for v, val in sigma.items()),)
-            key = tuple((name, val) for name, val in key)
+            key = frozenset(sigma.items())
             if key not in seen:
                 seen.add(key)
                 matched.append(dict(sigma))
@@ -287,28 +290,31 @@ def enumerate_bindings(
     backtrack(0)
 
     out: list[Substitution] = []
-    external = sorted(t.external_vars() - t.fresh_vars(), key=lambda v: (v.name, v.type_name))
-    fresh = sorted(t.fresh_vars(), key=lambda v: (v.name, v.type_name))
+    external, fresh = compiled.external, compiled.fresh
+    pools: list[Sequence[Value]] | None = None
     for base in matched:
         if not eval_guard(t.guard, base, types=net.types):
             continue
-        pools: list[Sequence[Value]] = []
-        for v in external:
-            pool = domains.get(v.type_name)
-            if pool is None:
-                raise ConfigError(
-                    f"transition {t.name!r}: external variable {v.name!r} needs an "
-                    f"input domain for type {v.type_name!r}"
-                )
-            pools.append(pool)
+        if pools is None:
+            pools = []
+            for v in external:
+                pool = domains.get(v.type_name)
+                if pool is None:
+                    raise ConfigError(
+                        f"transition {t.name!r}: external variable {v.name!r} needs an "
+                        f"input domain for type {v.type_name!r}"
+                    )
+                pools.append(pool)
+            fresh_pre = [
+                (v, net.types.type(v.type_name), snapshot_active_domain(snap, v.type_name))
+                for v in fresh
+            ]
         for combo in itertools.product(*pools):
             full = dict(base)
             full.update(zip(external, combo))
             source = FreshSource()
             excluded: set[Value] = set(fresh_exclusions)
-            for v in fresh:
-                dt = net.types.type(v.type_name)
-                pre = snapshot_active_domain(snap, v.type_name)
+            for v, dt, pre in fresh_pre:
                 full[v] = fresh_value(dt, pre | excluded, source)
                 excluded.add(full[v])
             out.append(full)
@@ -329,7 +335,8 @@ def fire(
     The database is updated through the induced action instance (identity
     when the transition has no action); the control marking follows
     m2(p) = (m1(p) - in) + k*out + (1-k)*rollback with k = 1 iff committed;
-    view places are realigned against the resulting instance.
+    view places are realigned against the resulting instance. Only the
+    control places the transition's arcs touch are rebuilt.
     """
     if check and not is_enabled(net, snap, t, sigma):
         raise BindingError(f"transition {t.name!r} is not enabled under {sigma!r}")
@@ -344,23 +351,17 @@ def fire(
             instance2, committed = candidate, True
         else:
             instance2, committed = snap.instance, False
-    k = 1 if committed else 0
-
-    entries: dict[str, Multiset] = {}
-    for place in net.control_places():
-        m1 = snap.marking.tokens(place.name)
-        w_in = t.inputs.get(place.name, EMPTY)
-        w_out = t.outputs.get(place.name, EMPTY)
-        w_rb = t.rollbacks.get(place.name, EMPTY)
-        m2 = (
-            (m1 - inscription_binding(w_in, sigma))
-            + inscription_binding(w_out, sigma) * k
-            + inscription_binding(w_rb, sigma) * (1 - k)
-        )
-        if m2:
-            entries[place.name] = m2
-    entries.update(align_view_places(net, instance2))
-    return Snapshot(instance2, Marking(entries)), committed
+    changes: dict[str, Multiset] = {}
+    for place_name, w_in, w_out, w_rb in net.compiled(t).arcs:
+        m2 = snap.marking.tokens(place_name)
+        if w_in:
+            m2 = m2 - inscription_binding(w_in, sigma)
+        w_k = w_out if committed else w_rb
+        if w_k:
+            m2 = m2 + inscription_binding(w_k, sigma)
+        changes[place_name] = m2
+    changes.update(align_view_places(net, instance2))
+    return Snapshot(instance2, snap.marking.updated(changes)), committed
 
 
 def enabled_firings(
@@ -522,10 +523,13 @@ def build_lts(
 ) -> LTS:
     """Breadth-first closure of `fire` over all enabled bindings.
 
-    States are deduplicated by (instance, control marking). Exploration is
-    level-synchronous: a level's states may be expanded by parallel workers,
-    but results are merged in a fixed order, so the resulting LTS does not
-    depend on the worker count.
+    States are deduplicated by (instance, control marking). Successors are
+    generated lazily, state by state in a fixed order (transitions by name,
+    then bindings in canonical order), and merged as they come, so firing
+    stops at the first successor that would exceed `max_states`. With
+    `workers > 1` each BFS level is instead expanded eagerly and whole by a
+    thread pool, then merged in the same order; the LTS does not depend on
+    the worker count.
     """
     intern = InstanceInterner()
     s0 = Snapshot(intern(s0.instance), s0.marking)
@@ -537,14 +541,12 @@ def build_lts(
         if stop_at_goal:
             return lts
 
-    def expand(sid: int) -> list[tuple[str, Substitution, bool, Snapshot]]:
+    def expand(sid: int) -> Iterator[tuple[str, Substitution, bool, Snapshot]]:
         snap = lts.snapshots[sid]
-        succs = []
         for t in net.sorted_transitions():
             for sigma in enumerate_bindings(net, snap, t, domains):
                 snap2, committed = fire(net, snap, t, sigma, check=False, intern=intern)
-                succs.append((t.name, sigma, committed, snap2))
-        return succs
+                yield t.name, sigma, committed, snap2
 
     frontier = [0]
     depth = 0
@@ -556,9 +558,9 @@ def build_lts(
                 lts.truncation_reason = "depth budget reached"
                 break
             if executor is not None:
-                expansions = list(executor.map(expand, frontier))
+                expansions = list(executor.map(lambda sid: list(expand(sid)), frontier))
             else:
-                expansions = [expand(sid) for sid in frontier]
+                expansions = map(expand, frontier)
             next_frontier: list[int] = []
             budget_hit = False
             for sid, succs in zip(frontier, expansions):

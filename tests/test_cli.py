@@ -1,10 +1,11 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
 from dbnet import dsl
-from dbnet.cli import main
+from dbnet.cli import EXIT_BROKEN_PIPE, main
 from dbnet.scenarios import scenario_path, scenario_text
 from dbnet.semantics import binding_from_json, fire, snapshot_digest
 
@@ -229,6 +230,25 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "ok" in proc.stdout
+
+    def test_closed_stdout_ends_quietly(self):
+        # The reader is gone before the first line is written, as with
+        # `dbnet explore ... | head -1` when head exits first; the write fails
+        # with EPIPE every time, not only when the timing is unlucky.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dbnet", "explore", TICKET, "--max-states", "300"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_BROKEN_PIPE
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
 
     def test_color_env_disables_ansi(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DBNET_COLOR", "0")

@@ -178,3 +178,72 @@ class TestSerialization:
     def test_bad_line_reports_position(self, schema, catalog):
         with pytest.raises(DefinitionError, match="line 2"):
             instance_from_text('Emp("ann")\nEmp(3)\n', schema, catalog)
+
+
+class TestCustomTypeDomain:
+    """Constraints are evaluated over the net's own type domain, not over the
+    built-in catalog: a predicate registered on a custom type must resolve."""
+
+    @staticmethod
+    def types():
+        from dbnet.datatypes import DataType, Kind, Predicate, TypeDomain
+
+        string = DataType(
+            "string",
+            Kind.STRING,
+            {
+                "=_s": Predicate("=_s", 2, lambda a, b: a == b),
+                "prefix": Predicate("prefix", 2, lambda a, b: b.startswith(a)),
+            },
+        )
+        return TypeDomain([string, DataType("int", Kind.INT)])
+
+    @staticmethod
+    def some_a_name():
+        from dbnet.query import Exists
+
+        x = Variable("x", "string")
+        body = And(RelationAtom("Emp", (x,)), PredicateAtom("prefix", (string_value("a"), x)))
+        return Constraint("some_a_name", Exists(x, body))
+
+    def test_check_compliance(self, schema):
+        layer = PersistenceLayer(schema, [self.some_a_name()], self.types())
+        assert check_compliance(layer, DatabaseInstance([emp("ann"), emp("bob")])).ok
+        report = check_compliance(layer, DatabaseInstance([emp("bob")]))
+        assert report.violated == ("some_a_name",)
+
+    def test_snapshot_and_firing(self, schema):
+        from dbnet.control import ActionBinding, DbNet, Place, Transition
+        from dbnet.datalogic import Action, DataLogicLayer, FactTemplate
+        from dbnet.multiset import Multiset
+        from dbnet.query import Truth
+        from dbnet.semantics import fire, make_snapshot
+
+        e = Variable("e", "string")
+        types = self.types()
+        leave = Action("leave", (e,), frozenset(), frozenset({FactTemplate("Emp", (e,))}))
+        net = DbNet(
+            types,
+            # No type domain given: the net rebinds the layer to its own.
+            PersistenceLayer(schema, [self.some_a_name()]),
+            DataLogicLayer(actions=[leave]),
+            [Place("staff", "control", ("string",))],
+            [
+                Transition(
+                    "leave",
+                    inputs={"staff": Multiset([(e,)])},
+                    guard=Truth(),
+                    action=ActionBinding("leave", (e,)),
+                )
+            ],
+        )
+        assert net.persistence.types is types
+        staff = Multiset([(string_value("ann"),), (string_value("bob"),)])
+        snap = make_snapshot(net, DatabaseInstance([emp("ann"), emp("bob")]), {"staff": staff})
+        with pytest.raises(DefinitionError, match="violates constraints"):
+            make_snapshot(net, DatabaseInstance([emp("bob")]))
+        t = net.transitions["leave"]
+        _, committed = fire(net, snap, t, {e: string_value("bob")})
+        assert committed
+        _, committed = fire(net, snap, t, {e: string_value("ann")})
+        assert not committed

@@ -393,17 +393,20 @@ class TestBuildLts:
         assert [name for name, _, _ in path] == ["step"]
 
     def test_deterministic_across_worker_counts(self, ticket_scenario):
+        # The serial path streams successors and stops at the budget; the
+        # pooled path fires whole levels first. Both must merge the same LTS.
         kwargs = dict(domains=ticket_scenario.domains, max_states=120)
         one = build_lts(ticket_scenario.net, ticket_scenario.initial, workers=1, **kwargs)
-        four = build_lts(ticket_scenario.net, ticket_scenario.initial, workers=4, **kwargs)
-        assert one.state_count == four.state_count
-        assert one.edge_count == four.edge_count
-        assert [
-            (e.src, e.transition, e.committed, e.dst) for e in one.edges
-        ] == [(e.src, e.transition, e.committed, e.dst) for e in four.edges]
-        assert [snapshot_digest(ticket_scenario.net, s) for s in one.snapshots] == [
-            snapshot_digest(ticket_scenario.net, s) for s in four.snapshots
-        ]
+        for workers in (2, 4):
+            many = build_lts(ticket_scenario.net, ticket_scenario.initial, workers=workers, **kwargs)
+            assert one.state_count == many.state_count
+            assert one.edge_count == many.edge_count
+            assert one.edges == many.edges
+            assert one.parents == many.parents
+            assert (one.depths, one.truncation_reason) == (many.depths, many.truncation_reason)
+            assert [snapshot_digest(ticket_scenario.net, s) for s in one.snapshots] == [
+                snapshot_digest(ticket_scenario.net, s) for s in many.snapshots
+            ]
 
     def test_explored_states_keep_invariants(self, ticket_scenario):
         net = ticket_scenario.net
@@ -427,6 +430,39 @@ class TestBuildLts:
         assert rolled_back, "expected reachable rollback firings in the ticket scenario"
         for e in rolled_back:
             assert lts.snapshots[e.src].instance == lts.snapshots[e.dst].instance
+
+
+class TestLazyFiring:
+    """Successors are generated on demand: exploration fires only what it
+    records, plus the one successor that finds the state budget spent."""
+
+    @staticmethod
+    def counting_fire(monkeypatch):
+        import dbnet.semantics as semantics
+
+        calls = []
+        original = semantics.fire
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(semantics, "fire", counting)
+        return calls
+
+    def test_state_budget_stops_firing(self, ticket_scenario, monkeypatch):
+        calls = self.counting_fire(monkeypatch)
+        lts = build_lts(
+            ticket_scenario.net, ticket_scenario.initial, domains=ticket_scenario.domains, max_states=120
+        )
+        assert (lts.state_count, lts.edge_count, lts.truncated) == (120, 198, True)
+        assert len(calls) == lts.edge_count + 1 == 199
+
+    def test_depth_budget_fires_once_per_edge(self, ticket_scenario, monkeypatch):
+        calls = self.counting_fire(monkeypatch)
+        lts = build_lts(ticket_scenario.net, ticket_scenario.initial, domains=ticket_scenario.domains, max_depth=3)
+        assert lts.truncation_reason == "depth budget reached"
+        assert len(calls) == lts.edge_count > 0
 
 
 class TestInterner:
