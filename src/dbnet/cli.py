@@ -1,9 +1,9 @@
 """Command-line interface: validate, simulate, and explore scenarios.
 
 Exit codes: 0 success (including truncated exploration, reported as a
-warning), 1 parse/validation failure, 2 I/O failure, 3 bad run configuration,
-141 standard output closed by its reader (e.g. `| head -1`), which ends the
-run quietly.
+warning), 1 parse/validation failure, 2 I/O failure, 3 bad run configuration
+or command-line usage, 141 standard output closed by its reader (e.g.
+`| head -1`), which ends the run quietly.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ class RunConfig:
     steps: int = 10
     max_states: Optional[int] = None
     max_depth: Optional[int] = None
-    workers: int = 1
     goal_query: Optional[Query] = None
     marking_conditions: list[tuple[str, str, int]] = field(default_factory=list)
     out_path: Optional[Path] = None
@@ -97,52 +96,53 @@ def simulate_config(args, scenario: dsl.Scenario) -> RunConfig:
 def explore_config(args, scenario: dsl.Scenario) -> RunConfig:
     _check_exhaustive_domains(scenario)
     query, conditions = _parse_goal(scenario, args.goal, args.goal_marking or [])
-    if args.workers < 1:
-        raise ConfigError("--workers must be at least 1")
     return RunConfig(
         scenario_path=args.file,
         policy="exhaustive",
         max_states=args.max_states if args.max_states is not None else scenario.config.get("max_states"),
         max_depth=args.max_depth if args.max_depth is not None else scenario.config.get("max_depth"),
-        workers=args.workers,
         goal_query=query,
         marking_conditions=conditions,
         out_path=Path(args.out) if args.out else None,
     )
 
 
+class _Exit(Exception):
+    """Ends a command with `code`; the reason is already on stderr."""
+
+    def __init__(self, code: int):
+        super().__init__(code)
+        self.code = code
+
+
 def _load(path: str) -> dsl.Scenario:
+    """Read, parse and elaborate a scenario, printing its warnings. On
+    failure the diagnostics go to stderr and `_Exit` carries the exit code."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise _IoFailure(str(exc)) from None
-    scenario = dsl.elaborate(dsl.parse(text))
+        _emit(f"i/o error: {exc}")
+        raise _Exit(EXIT_IO) from None
+    try:
+        scenario = dsl.elaborate(dsl.parse(text))
+    except dsl.DslSyntaxError as exc:
+        _emit(str(exc.diagnostic))
+        raise _Exit(EXIT_INVALID) from None
+    except dsl.DslValidationError as exc:
+        for diag in exc.diagnostics:
+            _emit(str(diag), diag.severity)
+        raise _Exit(EXIT_INVALID) from None
     for warning in scenario.warnings:
         _emit(str(warning), "warning")
     return scenario
-
-
-class _IoFailure(Exception):
-    pass
 
 
 # --- validate ------------------------------------------------------------------
 
 
 def cmd_validate(args) -> int:
-    try:
-        _load(args.file)
-    except _IoFailure as exc:
-        _emit(f"i/o error: {exc}")
-        return EXIT_IO
-    except dsl.DslSyntaxError as exc:
-        _emit(str(exc.diagnostic))
-        return EXIT_INVALID
-    except dsl.DslValidationError as exc:
-        for diag in exc.diagnostics:
-            _emit(str(diag), diag.severity)
-        return EXIT_INVALID
+    _load(args.file)
     print(f"{args.file}: ok")
     return EXIT_OK
 
@@ -164,16 +164,7 @@ def _write_final_db(path: str, snap: Snapshot) -> None:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scenario = _load(args.file)
-    except _IoFailure as exc:
-        _emit(f"i/o error: {exc}")
-        return EXIT_IO
-    except (dsl.DslSyntaxError, dsl.DslValidationError) as exc:
-        for diag in getattr(exc, "diagnostics", [getattr(exc, "diagnostic", None)]):
-            if diag is not None:
-                _emit(str(diag), getattr(diag, "severity", "error"))
-        return EXIT_INVALID
+    scenario = _load(args.file)
 
     try:
         config = simulate_config(args, scenario)
@@ -309,16 +300,7 @@ def _make_goal(net, query: Optional[Query], conditions):
 
 
 def cmd_explore(args) -> int:
-    try:
-        scenario = _load(args.file)
-    except _IoFailure as exc:
-        _emit(f"i/o error: {exc}")
-        return EXIT_IO
-    except (dsl.DslSyntaxError, dsl.DslValidationError) as exc:
-        for diag in getattr(exc, "diagnostics", [getattr(exc, "diagnostic", None)]):
-            if diag is not None:
-                _emit(str(diag), getattr(diag, "severity", "error"))
-        return EXIT_INVALID
+    scenario = _load(args.file)
 
     net = scenario.net
     try:
@@ -334,7 +316,6 @@ def cmd_explore(args) -> int:
         domains=scenario.domains,
         max_states=config.max_states,
         max_depth=config.max_depth,
-        workers=config.workers,
         goal=goal,
     )
 
@@ -436,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="COND",
         help="additional marking condition, e.g. 'marking(done) >= 1' (repeatable)",
     )
-    p_exp.add_argument("--workers", type=int, default=1)
     p_exp.add_argument("--out", default=None, help="summary output (JSON)")
     p_exp.set_defaults(func=cmd_explore)
 
@@ -444,11 +424,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage message and exits 2 on a usage
+        # error, the code this CLI reserves for I/O failure.
+        return EXIT_CONFIG if exc.code == 2 else exc.code
     try:
         code = args.func(args)
         sys.stdout.flush()
         return code
+    except _Exit as exc:
+        return exc.code
     except DbNetError as exc:
         _emit(f"error: {exc}")
         return EXIT_INVALID

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .control import DbNet, Inscription, Transition, token_key
 from .datalogic import ActionInstance, apply_raw, instantiate
@@ -517,19 +516,19 @@ def build_lts(
     domains: InputDomains | None = None,
     max_states: int | None = None,
     max_depth: int | None = None,
-    workers: int = 1,
     goal: Callable[[Snapshot], bool] | None = None,
     stop_at_goal: bool = False,
 ) -> LTS:
     """Breadth-first closure of `fire` over all enabled bindings.
 
-    States are deduplicated by (instance, control marking). Successors are
-    generated lazily, state by state in a fixed order (transitions by name,
-    then bindings in canonical order), and merged as they come, so firing
-    stops at the first successor that would exceed `max_states`. With
-    `workers > 1` each BFS level is instead expanded eagerly and whole by a
-    thread pool, then merged in the same order; the LTS does not depend on
-    the worker count.
+    States are deduplicated by (instance, control marking) and stored in
+    discovery order, which is BFS order, so the walk expands them by index.
+    Each state's successors are generated in a fixed order (transitions by
+    name, then bindings in canonical order) and merged as they come: firing
+    stops at the first successor that would exceed `max_states`. `max_depth`
+    and `stop_at_goal` take effect where a new BFS level begins; with
+    `stop_at_goal`, the level holding the first goal state is still
+    completed.
     """
     intern = InstanceInterner()
     s0 = Snapshot(intern(s0.instance), s0.marking)
@@ -538,62 +537,38 @@ def build_lts(
     index: dict = {state_key(net, s0): 0}
     if goal is not None and goal(s0):
         lts.goal_state = 0
-        if stop_at_goal:
-            return lts
 
-    def expand(sid: int) -> Iterator[tuple[str, Substitution, bool, Snapshot]]:
-        snap = lts.snapshots[sid]
-        for t in net.sorted_transitions():
-            for sigma in enumerate_bindings(net, snap, t, domains):
-                snap2, committed = fire(net, snap, t, sigma, check=False, intern=intern)
-                yield t.name, sigma, committed, snap2
-
-    frontier = [0]
-    depth = 0
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier:
+    level = -1
+    # The list iterator also yields the states appended during the walk.
+    for sid, snap in enumerate(lts.snapshots):
+        depth = lts.depths[sid]
+        if depth > level:
+            level = depth
+            if stop_at_goal and lts.goal_state is not None:
+                break
             if max_depth is not None and depth >= max_depth:
                 lts.truncated = True
                 lts.truncation_reason = "depth budget reached"
                 break
-            if executor is not None:
-                expansions = list(executor.map(lambda sid: list(expand(sid)), frontier))
-            else:
-                expansions = map(expand, frontier)
-            next_frontier: list[int] = []
-            budget_hit = False
-            for sid, succs in zip(frontier, expansions):
-                for tname, sigma, committed, snap2 in succs:
-                    key = state_key(net, snap2)
-                    nid = index.get(key)
-                    if nid is None:
-                        if max_states is not None and len(lts.snapshots) >= max_states:
-                            budget_hit = True
-                            break
-                        nid = len(lts.snapshots)
-                        index[key] = nid
-                        lts.snapshots.append(snap2)
-                        lts.depths.append(depth + 1)
-                        lts.parents.append((sid, tname, sigma, committed))
-                        lts.monitors.observe(snap2, depth + 1)
-                        next_frontier.append(nid)
-                        if goal is not None and lts.goal_state is None and goal(snap2):
-                            lts.goal_state = nid
-                    lts.edges.append(Edge(sid, tname, sigma, committed, nid))
-                if budget_hit:
-                    break
-            if budget_hit:
-                lts.truncated = True
-                lts.truncation_reason = "state budget reached"
-                break
-            if goal is not None and stop_at_goal and lts.goal_state is not None:
-                break
-            frontier = next_frontier
-            depth += 1
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+        for t in net.sorted_transitions():
+            for sigma in enumerate_bindings(net, snap, t, domains):
+                snap2, committed = fire(net, snap, t, sigma, check=False, intern=intern)
+                key = state_key(net, snap2)
+                nid = index.get(key)
+                if nid is None:
+                    if max_states is not None and len(lts.snapshots) >= max_states:
+                        lts.truncated = True
+                        lts.truncation_reason = "state budget reached"
+                        return lts
+                    nid = len(lts.snapshots)
+                    index[key] = nid
+                    lts.snapshots.append(snap2)
+                    lts.depths.append(depth + 1)
+                    lts.parents.append((sid, t.name, sigma, committed))
+                    lts.monitors.observe(snap2, depth + 1)
+                    if goal is not None and lts.goal_state is None and goal(snap2):
+                        lts.goal_state = nid
+                lts.edges.append(Edge(sid, t.name, sigma, committed, nid))
     return lts
 
 

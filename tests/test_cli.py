@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 from dbnet import dsl
-from dbnet.cli import EXIT_BROKEN_PIPE, main
+from dbnet.cli import EXIT_BROKEN_PIPE, EXIT_CONFIG, main
 from dbnet.scenarios import scenario_path, scenario_text
 from dbnet.semantics import binding_from_json, fire, snapshot_digest
 
@@ -207,13 +207,6 @@ class TestExplore:
         assert code == 0
         assert "truncated" in capsys.readouterr().err
 
-    def test_workers_agree(self, tmp_path):
-        out1, out4 = tmp_path / "w1.json", tmp_path / "w4.json"
-        goal = "exists t:int . exists e:string . exists d:string . Log(t, e, d)"
-        main(["explore", TICKET, "--max-states", "300", "--workers", "1", "--goal", goal, "--out", str(out1)])
-        main(["explore", TICKET, "--max-states", "300", "--workers", "4", "--goal", goal, "--out", str(out4)])
-        assert out1.read_bytes() == out4.read_bytes()
-
     def test_monitors_printed(self, capsys):
         main(["explore", RELAY, "--max-states", "10"])
         out = capsys.readouterr().out
@@ -249,6 +242,19 @@ class TestEntryPoint:
         assert proc.returncode == EXIT_BROKEN_PIPE
         assert "Traceback" not in proc.stderr
         assert "BrokenPipeError" not in proc.stderr
+
+    def test_usage_error_is_config_error(self):
+        # argparse exits 2 on its own, which would read as an I/O failure.
+        for flags in (["--workers", "4"], ["--max-states", "abc"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "dbnet", "explore", TICKET, *flags],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == EXIT_CONFIG
+            assert "usage:" in proc.stderr
+            assert "Traceback" not in proc.stderr
+        assert main(["explore", "--help"]) == 0
 
     def test_color_env_disables_ansi(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DBNET_COLOR", "0")
