@@ -1784,11 +1784,6 @@ def load_scenario_text(text: str) -> Scenario:
     return elaborate(parse(text))
 
 
-def load_scenario_file(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_scenario_text(fh.read())
-
-
 def elaborate_formula(scenario: Scenario, text: str) -> Query:
     """Parse and resolve a standalone formula against an elaborated scenario
     (used for reachability goals given on the command line)."""

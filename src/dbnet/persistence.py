@@ -7,15 +7,14 @@ caches (state-space exploration revisits the same instances constantly).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from .datatypes import TypeDomain, Value, format_decimal, fresh_cache_token, render_literal
 from .errors import DefinitionError
 
 if TYPE_CHECKING:
-    from .query import Query
+    from .query import FormulaPlan, Query
 
 
 @dataclass(frozen=True)
@@ -168,6 +167,16 @@ class Constraint:
 
     name: str
     query: "Query"
+    _plan: "FormulaPlan | None" = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def plan(self) -> "FormulaPlan":
+        """The query's compiled plan, built on first use and kept."""
+        if self._plan is None:
+            from .query import FormulaPlan
+
+            object.__setattr__(self, "_plan", FormulaPlan(self.query))
+        return self._plan
 
 
 @dataclass(frozen=True)
@@ -207,12 +216,8 @@ def check_compliance(layer: PersistenceLayer, instance: DatabaseInstance) -> Com
     cached = instance.cached_compliance(layer.cache_token)
     if cached is not None:
         return cached
-    from .query import entails
-
     violated = tuple(
-        c.name
-        for c in layer.constraints
-        if not entails(instance, {}, c.query, types=layer.types)
+        c.name for c in layer.constraints if not c.plan.holds(instance, {}, layer.types)
     )
     report = ComplianceReport(ok=not violated, violated=violated)
     return instance.store_compliance(layer.cache_token, report)
@@ -332,7 +337,3 @@ def instance_from_json(data: dict, schema: DatabaseSchema, types: TypeDomain) ->
     instance = DatabaseInstance(facts)
     validate_instance(schema, types, instance)
     return instance
-
-
-def instance_to_json_text(instance: DatabaseInstance) -> str:
-    return json.dumps(instance_to_json(instance), sort_keys=True, ensure_ascii=False)

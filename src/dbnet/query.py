@@ -5,12 +5,33 @@ in the instance, which keeps evaluation finite and domain-independent.
 The AST is the minimal fragment (predicate atom, relation atom, negation,
 conjunction, existential); disjunction, implication, and universal
 quantification are provided as expansion helpers.
+
+Every formula is compiled once into a plan, and the plan is the only
+evaluator behind `entails`, `answers` and `persistence.check_compliance`.
+Compiling strips double negations and flattens conjunctions. Then each
+`Exists x`, and each parameter of a named query, gets a *generator*: a
+positive relation atom that mentions `x` and that every model of the body
+satisfies (a conjunct, or a conjunct of a nested `Exists` that does not
+rebind `x`). At evaluation, `x` ranges only over the distinct values in its
+column among the facts of that relation that match the atom's constants,
+its already-bound variables and its repeated variables, and that have
+`x`'s type. Those facts are found by probing a hash index on the bound
+columns, built at most once per evaluation. Any witness of the body
+satisfies the atom, so this yields exactly the active-domain answers: it is
+the safe-range evaluation of Abiteboul, Hull & Vianu, *Foundations of
+Databases*, ch. 5. When every column of the generator atom is a constant, a
+bound variable or `x`, the atom holds for each candidate and is not checked
+again, so `not exists t . R(e, t)` with `e` bound is one index probe (an
+anti-join). An `Exists` without a generator, such as
+`exists x . not R(x)`, falls back to scanning the active domain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Union
 
 from .datatypes import (
     Substitution,
@@ -204,56 +225,289 @@ def validate_query(
     return problems
 
 
-def entails(instance: DatabaseInstance, theta: Substitution, query: Query, *, types: TypeDomain | None = None) -> bool:
-    """The inductive entailment relation; `theta` must cover free(query)."""
-    types = types or _CATALOG
-    env = dict(theta)
-    return _entails(instance, env, query, types)
+# --- compiled plans ----------------------------------------------------------
+#
+# A plan is a tree of closures `fn(ctx, env) -> bool`. `env` is a list of
+# values indexed by slots fixed at compile time: the plan's inputs first, then
+# one slot per constant and one per quantifier. Every `Exists` gets a slot of
+# its own, so an inner `Exists x` that shadows an outer `x` needs no save and
+# restore. `ctx` is the instance seen through hash indexes.
 
 
-def _ground(args: tuple[Term, ...], env: Substitution) -> tuple[Value, ...]:
-    out = []
-    for arg in args:
-        if isinstance(arg, Variable):
-            try:
-                arg = env[arg]
-            except KeyError:
-                raise BindingError(f"unbound variable {arg!r} during evaluation") from None
-        out.append(arg)
-    return tuple(out)
+class _Context:
+    """An instance's facts grouped by relation, with hash indexes built on
+    first use."""
+
+    __slots__ = ("instance", "types", "rows", "indexes")
+
+    def __init__(self, instance: DatabaseInstance, types: TypeDomain):
+        self.instance = instance
+        self.types = types
+        self.rows: dict[str, list[tuple[Value, ...]]] = {}
+        for fact in instance.facts:
+            self.rows.setdefault(fact.relation, []).append(fact.args)
+        self.indexes: dict[tuple, dict[tuple, dict[Value, None]]] = {}
+
+    def index(self, pattern: tuple) -> dict[tuple, dict[Value, None]]:
+        """Key-column values -> the distinct values in column `out` of the
+        facts of `relation` that have type `type_name` and agree on each
+        pair of `equal` columns; the dicts are used as ordered sets."""
+        relation, key_cols, equal, out, type_name = pattern
+        key_of = _tuple_getter(key_cols)
+        index: dict[tuple, dict[Value, None]] = {}
+        for row in self.rows.get(relation, ()):
+            value = row[out]
+            if value.type_name != type_name or (equal and any(row[i] != row[j] for i, j in equal)):
+                continue
+            key = key_of(row)
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = {value: None}
+            else:
+                bucket[value] = None
+        self.indexes[pattern] = index
+        return index
 
 
-def _entails(instance: DatabaseInstance, env: Substitution, query: Query, types: TypeDomain) -> bool:
-    if isinstance(query, RelationAtom):
-        return Fact(query.relation, _ground(query.args, env)) in instance.facts
-    if isinstance(query, PredicateAtom):
-        return types.eval_predicate(query.pred, _ground(query.args, env))
-    if isinstance(query, Not):
-        return not _entails(instance, env, query.body, types)
-    if isinstance(query, And):
-        return _entails(instance, env, query.left, types) and _entails(
-            instance, env, query.right, types
-        )
-    if isinstance(query, Exists):
-        var = query.var
-        saved = env.get(var, _MISSING)
-        try:
-            for value in instance.active_domain(var.type_name):
-                env[var] = value
-                if _entails(instance, env, query.body, types):
+_Eval = Callable[[_Context, list], bool]
+
+
+def _tuple_getter(slots) -> Callable[[list], tuple]:
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    if slots:
+        (slot,) = slots
+        return lambda env: (env[slot],)
+    return lambda env: ()
+
+
+def _conjuncts(q: Query) -> list[Query]:
+    """The flattened conjunction, double negations stripped, `Truth` dropped."""
+    while isinstance(q, Not) and isinstance(q.body, Not):
+        q = q.body.body
+    if isinstance(q, And):
+        return _conjuncts(q.left) + _conjuncts(q.right)
+    return [] if isinstance(q, Truth) else [q]
+
+
+def _implied_atoms(conjuncts: list[Query], inner: frozenset[Variable] = frozenset()):
+    """(atom, variables bound on the way to it) for each relation atom that
+    every model of the conjunction satisfies: its conjuncts, and those of
+    the bodies of its existentials."""
+    for c in conjuncts:
+        if isinstance(c, RelationAtom):
+            yield c, inner
+        elif isinstance(c, Exists):
+            yield from _implied_atoms(_conjuncts(c.body), inner | {c.var})
+
+
+@dataclass(frozen=True)
+class _Generator:
+    """Where the values of a variable come from: an index `pattern` (see
+    `_Context.index`) probed with the values in `key_slots`. `covered` says
+    that every column of `atom` is a key or the variable, so that the atom
+    holds for every candidate."""
+
+    atom: RelationAtom
+    pattern: tuple
+    key_slots: tuple[int, ...]
+    covered: bool
+
+
+def _choose_generator(
+    var: Variable, conjuncts: list[Query], bound: Mapping[Variable, int], const_slot
+) -> _Generator | None:
+    """The implied atom that mentions `var` with the most key columns,
+    preferring a covered one. Constants and variables bound outside are
+    keys; variables bound on the way to the atom, and parameters not yet
+    bound, are free columns."""
+    best = best_score = None
+    for atom, inner in _implied_atoms(conjuncts):
+        if var in inner or var not in atom.args:
+            continue
+        key_cols, key_slots, free = [], [], {}
+        for col, arg in enumerate(atom.args):
+            if not isinstance(arg, Variable):
+                key_cols.append(col)
+                key_slots.append(const_slot(arg))
+            elif arg != var and arg not in inner and arg in bound:
+                key_cols.append(col)
+                key_slots.append(bound[arg])
+            else:
+                free.setdefault(arg, []).append(col)
+        covered = list(free) == [var]
+        score = (covered, len(key_cols))
+        if best_score is None or score > best_score:
+            equal = tuple((cols[0], c) for cols in free.values() for c in cols[1:])
+            pattern = (atom.relation, tuple(key_cols), equal, free[var][0], var.type_name)
+            best, best_score = _Generator(atom, pattern, tuple(key_slots), covered), score
+    return best
+
+
+def _known(q: Query, known: frozenset) -> bool:
+    return isinstance(q, RelationAtom) and q in known
+
+
+class _Compiler:
+    """Allocates slots and turns a formula into closures. `known` holds the
+    relation atoms that the enclosing generators make true; a conjunct in
+    `known` is not checked again."""
+
+    def __init__(self, inputs: tuple[Variable, ...]):
+        self.template: list = [None] * len(inputs)
+        self._consts: dict[Value, int] = {}
+
+    def new_slot(self, value=None) -> int:
+        self.template.append(value)
+        return len(self.template) - 1
+
+    def const_slot(self, value: Value) -> int:
+        slot = self._consts.get(value)
+        if slot is None:
+            slot = self._consts[value] = self.new_slot(value)
+        return slot
+
+    def slots(self, args: tuple[Term, ...], scope: Mapping[Variable, int]) -> list[int]:
+        out = []
+        for arg in args:
+            if isinstance(arg, Variable):
+                out.append(scope[arg])  # every variable is bound: scope covers free(query)
+            else:
+                out.append(self.const_slot(arg))
+        return out
+
+    def generator(self, var: Variable, conjuncts: list[Query], bound: Mapping[Variable, int], known: frozenset):
+        """(candidate function, known atoms once `var` takes a candidate)."""
+        known = frozenset(a for a in known if var not in a.args)
+        gen = _choose_generator(var, conjuncts, bound, self.const_slot)
+        if gen is None:  # no implied atom: scan the active domain
+            type_name = var.type_name
+            return (lambda ctx, env: ctx.instance.active_domain(type_name)), known
+        pattern, key = gen.pattern, _tuple_getter(gen.key_slots)
+
+        def candidates(ctx: _Context, env: list) -> Iterable[Value]:
+            index = ctx.indexes.get(pattern)
+            if index is None:
+                index = ctx.index(pattern)
+            return index.get(key(env), ())
+
+        return candidates, (known | {gen.atom} if gen.covered else known)
+
+    def conjunction(self, conjuncts: list[Query], scope: Mapping[Variable, int], known: frozenset) -> _Eval:
+        parts = [self.node(c, scope, known) for c in conjuncts if not _known(c, known)]
+        if not parts:
+            return lambda ctx, env: True
+        if len(parts) == 1:
+            return parts[0]
+
+        def conj(ctx: _Context, env: list) -> bool:
+            for part in parts:
+                if not part(ctx, env):
+                    return False
+            return True
+
+        return conj
+
+    def node(self, q: Query, scope: Mapping[Variable, int], known: frozenset) -> _Eval:
+        if isinstance(q, RelationAtom):
+            relation, args = q.relation, _tuple_getter(self.slots(q.args, scope))
+            return lambda ctx, env: Fact(relation, args(env)) in ctx.instance.facts
+        if isinstance(q, PredicateAtom):
+            pred, args = q.pred, _tuple_getter(self.slots(q.args, scope))
+            return lambda ctx, env: ctx.types.eval_predicate(pred, args(env))
+        if isinstance(q, Not):
+            body = self.conjunction(_conjuncts(q.body), scope, known)
+            return lambda ctx, env: not body(ctx, env)
+        if isinstance(q, Exists):
+            return self.exists(q, scope, known)
+        raise DefinitionError(f"unknown query node {q!r}")
+
+    def exists(self, q: Exists, scope: Mapping[Variable, int], known: frozenset) -> _Eval:
+        conjuncts = _conjuncts(q.body)
+        candidates, known = self.generator(q.var, conjuncts, scope, known)
+        if all(_known(c, known) for c in conjuncts):  # a semi-join; under a Not, an anti-join
+            return lambda ctx, env: bool(candidates(ctx, env))
+        slot = self.new_slot()
+        body = self.conjunction(conjuncts, {**scope, q.var: slot}, known)
+
+        def exists(ctx: _Context, env: list) -> bool:
+            for value in candidates(ctx, env):
+                env[slot] = value
+                if body(ctx, env):
                     return True
             return False
-        finally:
-            if saved is _MISSING:
-                env.pop(var, None)
-            else:
-                env[var] = saved
-    if isinstance(query, Truth):
-        return True
-    raise DefinitionError(f"unknown query node {query!r}")
+
+        return exists
 
 
-_MISSING = object()
+class FormulaPlan:
+    """A compiled formula; `holds` decides it under a substitution that
+    covers its free variables."""
+
+    __slots__ = ("inputs", "template", "fn")
+
+    def __init__(self, query: Query):
+        self.inputs = free_vars(query)
+        compiler = _Compiler(self.inputs)
+        scope = {v: i for i, v in enumerate(self.inputs)}
+        self.fn = compiler.conjunction(_conjuncts(query), scope, frozenset())
+        self.template = compiler.template
+
+    def holds(self, instance: DatabaseInstance, theta: Substitution, types: TypeDomain | None = None) -> bool:
+        env = self.template.copy()
+        for i, var in enumerate(self.inputs):
+            try:
+                env[i] = theta[var]
+            except KeyError:
+                raise BindingError(f"unbound variable {var!r} during evaluation") from None
+        return self.fn(_Context(instance, types or _CATALOG), env)
+
+
+class AnswerPlan:
+    """A compiled named query: nested loops over each parameter's
+    candidates, in declared order, then what is left of the body."""
+
+    __slots__ = ("width", "template", "loops", "fn")
+
+    def __init__(self, params: tuple[Variable, ...], body: Query):
+        compiler = _Compiler(params)
+        conjuncts, known = _conjuncts(body), frozenset()
+        self.loops = []
+        for i, param in enumerate(params):
+            candidates, known = compiler.generator(param, conjuncts, dict(zip(params[:i], range(i))), known)
+            self.loops.append(candidates)
+        self.width = len(params)
+        self.fn = compiler.conjunction(conjuncts, dict(zip(params, range(self.width))), known)
+        self.template = compiler.template
+
+    def answers(self, instance: DatabaseInstance, types: TypeDomain | None = None) -> frozenset[tuple[Value, ...]]:
+        ctx, env = _Context(instance, types or _CATALOG), self.template.copy()
+        width, fn, loops = self.width, self.fn, self.loops
+        result: set[tuple[Value, ...]] = set()
+
+        def loop(i: int) -> None:
+            if i == width:
+                if fn(ctx, env):
+                    result.add(tuple(env[:width]))
+                return
+            for value in loops[i](ctx, env):
+                env[i] = value
+                loop(i + 1)
+
+        loop(0)
+        return frozenset(result)
+
+
+@lru_cache(maxsize=256)
+def compile_formula(query: Query) -> FormulaPlan:
+    """The plan for `query`, cached by value: the CLI and the benchmark pass
+    the same goal to `entails` for every state."""
+    return FormulaPlan(query)
+
+
+def entails(instance: DatabaseInstance, theta: Substitution, query: Query, *, types: TypeDomain | None = None) -> bool:
+    """The inductive entailment relation; `theta` must cover free(query)."""
+    return compile_formula(query).holds(instance, theta, types)
 
 
 @dataclass(frozen=True)
@@ -264,6 +518,7 @@ class NamedQuery:
     params: tuple[Variable, ...]
     body: Query
     cache_token: int = field(init=False, repr=False, compare=False)
+    _plan: AnswerPlan | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if set(self.params) != set(free_vars(self.body)):
@@ -274,6 +529,13 @@ class NamedQuery:
         if len(set(self.params)) != len(self.params):
             raise DefinitionError(f"query {self.name!r}: duplicate parameters")
         object.__setattr__(self, "cache_token", fresh_cache_token())
+
+    @property
+    def plan(self) -> AnswerPlan:
+        """Compiled on first use and kept."""
+        if self._plan is None:
+            object.__setattr__(self, "_plan", AnswerPlan(self.params, self.body))
+        return self._plan
 
 
 def answers(
@@ -287,29 +549,24 @@ def answers(
     cached = instance.cached_answers(named.cache_token)
     if cached is not None:
         return cached
-    types = types or _CATALOG
-    pools = [sorted(instance.active_domain(p.type_name), key=Value.sort_key) for p in named.params]
-    env: Substitution = {}
-    result = set()
-    _collect(instance, env, named.params, pools, 0, named.body, types, result)
-    return instance.store_answers(named.cache_token, frozenset(result))
-
-
-def _collect(instance, env, params, pools, i, body, types, result) -> None:
-    if i == len(params):
-        if _entails(instance, env, body, types):
-            result.add(tuple(env[p] for p in params))
-        return
-    var = params[i]
-    for value in pools[i]:
-        env[var] = value
-        _collect(instance, env, params, pools, i + 1, body, types, result)
-    env.pop(var, None)
+    return instance.store_answers(named.cache_token, named.plan.answers(instance, types))
 
 
 def holds(named: NamedQuery, instance: DatabaseInstance, *, types: TypeDomain | None = None) -> bool:
     """ans(Q, I) = true, for boolean queries."""
     return () in answers(named, instance, types=types)
+
+
+def _ground(args: tuple[Term, ...], env: Substitution) -> tuple[Value, ...]:
+    out = []
+    for arg in args:
+        if isinstance(arg, Variable):
+            try:
+                arg = env[arg]
+            except KeyError:
+                raise BindingError(f"unbound variable {arg!r} during evaluation") from None
+        out.append(arg)
+    return tuple(out)
 
 
 def eval_guard(guard: Guard, theta: Substitution, *, types: TypeDomain | None = None) -> bool:

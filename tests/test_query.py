@@ -1,10 +1,19 @@
+import itertools
 import random
 
 import pytest
 
 from dbnet.datatypes import Variable, int_value, string_value
 from dbnet.errors import BindingError, DefinitionError
-from dbnet.persistence import DatabaseInstance, DatabaseSchema, Fact, RelationSchema
+from dbnet.persistence import (
+    Constraint,
+    DatabaseInstance,
+    DatabaseSchema,
+    Fact,
+    PersistenceLayer,
+    RelationSchema,
+    check_compliance,
+)
 from dbnet.query import (
     And,
     Exists,
@@ -24,8 +33,8 @@ from dbnet.query import (
     validate_query,
 )
 
-from generators import random_instance, random_query, random_schema
-from oracles import brute_force_answers
+from generators import POOLS, _QueryBuilder, random_instance, random_query, random_schema
+from oracles import brute_active_domain, brute_compliant, brute_force_answers, satisfies
 
 E = Variable("e", "string")
 T = Variable("t", "int")
@@ -256,3 +265,184 @@ class TestValidation:
             q, self.SCHEMA, catalog, allow_relations=False, allow_quantifiers=False
         )
         assert any("quantifier" in p for p in problems)
+
+
+# --- differential tests for shapes the random query builder never makes -----
+
+X = Variable("x", "string")
+Y = Variable("y", "string")
+X_INT = Variable("x", "int")
+
+SHAPES_SCHEMA = DatabaseSchema(
+    [
+        RelationSchema("Emp", ("string",)),
+        RelationSchema("Resp", ("string", "int")),
+        RelationSchema("Ticket", ("int", "string")),
+        RelationSchema("Pair", ("string", "string")),
+    ]
+)
+
+
+def pair(a, b):
+    return Fact("Pair", (string_value(a), string_value(b)))
+
+
+def shape_instances(count=40, seed=11):
+    """Hand-picked corner cases, then random instances over SHAPES_SCHEMA."""
+    rng = random.Random(seed)
+    fixed = [
+        DatabaseInstance(),
+        DatabaseInstance([emp("a"), pair("a", "a"), pair("a", "b"), resp("b", 1), ticket(1, "a")]),
+        DatabaseInstance([pair("b", "a"), resp("a", 2), resp("a", 3), ticket(3, "c")]),
+    ]
+    return fixed + [random_instance(rng, SHAPES_SCHEMA, max_facts=10) for _ in range(count)]
+
+
+def assert_matches_oracle(body, instances):
+    """entails agrees with `satisfies` under every substitution of the free
+    variables over the active domain plus one outside value, and answers
+    agrees with `brute_force_answers`."""
+    params = free_vars(body)
+    named = NamedQuery("q", params, body)
+    for inst in instances:
+        assert answers(named, inst) == brute_force_answers(params, body, inst), (body, inst)
+        pools = [
+            brute_active_domain(inst, p.type_name) + [POOLS[p.type_name][-1]] for p in params
+        ]
+        for combo in itertools.product(*pools):
+            theta = dict(zip(params, combo))
+            assert entails(inst, theta, body) == satisfies(inst, theta, body), (body, theta, inst)
+
+
+class TestShadowing:
+    def test_inner_exists_shadows_free_variable(self):
+        # x is free in Emp(x), and bound afresh inside the Exists.
+        body = And(RelationAtom("Emp", (X,)), Exists(X, And(RelationAtom("Pair", (X, X)), Not(RelationAtom("Emp", (X,))))))
+        assert_matches_oracle(body, shape_instances())
+
+    def test_theta_binding_the_quantified_variable_is_ignored(self):
+        q = Exists(X, And(RelationAtom("Pair", (X, Y)), Not(RelationAtom("Emp", (X,)))))
+        for inst in shape_instances():
+            for v in brute_active_domain(inst, "string") + [string_value("zz")]:
+                expected = satisfies(inst, {Y: v}, q)
+                assert entails(inst, {X: string_value("a"), Y: v}, q) == expected
+                assert entails(inst, {X: v, Y: v}, q) == expected
+
+    def test_inner_exists_shadows_outer_exists(self):
+        # The outer generator makes Resp(x, t) true for its candidates; the
+        # inner x is another variable, so Resp(x, t) must be checked again.
+        inner = Exists(X, And(RelationAtom("Emp", (X,)), Not(RelationAtom("Resp", (X, T)))))
+        body = Exists(X, And(RelationAtom("Resp", (X, T)), inner))
+        assert_matches_oracle(body, shape_instances())
+        assert_matches_oracle(Exists(T, body), shape_instances())
+
+    def test_randomized_sweep_with_reused_names(self):
+        # Quantified variables are drawn from two names per type, so nested
+        # quantifiers shadow one another and the free variables.
+        class ShadowingBuilder(_QueryBuilder):
+            def build(self, depth, scope):
+                if depth > 0 and self.rng.random() < 0.3:
+                    type_name = self.rng.choice(("string", "int"))
+                    var = Variable(self.rng.choice(("f0", "x")), type_name)
+                    return Exists(var, self.build(depth - 1, scope + [var]))
+                return super().build(depth, scope)
+
+        rng = random.Random(5)
+        for _ in range(150):
+            schema = random_schema(rng)
+            builder = ShadowingBuilder(rng, schema, free_budget=2)
+            body = builder.build(rng.randint(1, 4), [])
+            instances = [random_instance(rng, schema, max_facts=8) for _ in range(3)]
+            assert_matches_oracle(body, instances)
+
+
+class TestAtomShapes:
+    def test_repeated_variable_in_one_atom(self):
+        assert_matches_oracle(RelationAtom("Pair", (X, X)), shape_instances())
+        assert_matches_oracle(Exists(X, RelationAtom("Pair", (X, X))), shape_instances())
+        body = Exists(Y, And(RelationAtom("Pair", (X, Y)), RelationAtom("Pair", (Y, Y))))
+        assert_matches_oracle(body, shape_instances())
+
+    def test_constants_in_atoms(self):
+        a, one = string_value("a"), int_value(1)
+        assert_matches_oracle(RelationAtom("Pair", (a, X)), shape_instances())
+        assert_matches_oracle(RelationAtom("Resp", (X, one)), shape_instances())
+        body = Exists(T, And(RelationAtom("Resp", (X, T)), RelationAtom("Ticket", (T, a))))
+        assert_matches_oracle(body, shape_instances())
+        assert_matches_oracle(Exists(X, RelationAtom("Pair", (a, X))), shape_instances())
+
+    def test_exists_without_a_positive_atom(self):
+        # No relation atom constrains x: the active-domain scan decides.
+        assert_matches_oracle(Exists(X, Not(RelationAtom("Emp", (X,)))), shape_instances())
+        assert_matches_oracle(Exists(X, Truth()), shape_instances())
+        assert_matches_oracle(Exists(T, PredicateAtom("<_int", (T, Variable("u", "int")))), shape_instances())
+        body = Exists(X, Not(And(RelationAtom("Emp", (X,)), RelationAtom("Pair", (X, Y)))))
+        assert_matches_oracle(body, shape_instances())
+
+    def test_ill_typed_quantifier(self):
+        # Built by hand: x is an int, Emp's column holds strings.
+        q = Exists(X_INT, RelationAtom("Emp", (X_INT,)))
+        inst = DatabaseInstance([emp("a"), resp("a", 1)])
+        assert not entails(inst, {}, q)
+        assert not satisfies(inst, {}, q)
+        assert_matches_oracle(q, shape_instances())
+        assert_matches_oracle(RelationAtom("Pair", (X_INT, Y)), shape_instances())
+
+
+class TestUnboundVariables:
+    INSTANCE = DatabaseInstance([emp("a"), resp("a", 1)])
+
+    def test_free_variable_missing_from_theta(self):
+        with pytest.raises(BindingError):
+            entails(self.INSTANCE, {}, Exists(T, RelationAtom("Resp", (E, T))))
+
+    def test_missing_variable_raises_even_when_another_conjunct_fails(self):
+        q = And(RelationAtom("Emp", (string_value("nobody"),)), RelationAtom("Emp", (E,)))
+        with pytest.raises(BindingError):
+            entails(self.INSTANCE, {}, q)
+
+
+def ticket_key_constraint():
+    """The bundled ticket scenario's one_ticket_per_employee."""
+    t1, t2 = Variable("t1", "int"), Variable("t2", "int")
+    body = implies(
+        And(RelationAtom("Resp", (E, t1)), RelationAtom("Resp", (E, t2))),
+        PredicateAtom("=_int", (t1, t2)),
+    )
+    return Constraint("one_ticket_per_employee", forall(E, forall(t1, forall(t2, body))))
+
+
+def scaled_ticket_instance(n, m, k):
+    """N employees, tickets 1..M, the first K employees each holding one."""
+    names = [f"emp{i}" for i in range(n)]
+    facts = [emp(e) for e in names] + [ticket(t, "bug") for t in range(1, m + 1)]
+    facts += [resp(names[i], i + 1) for i in range(k)]
+    return DatabaseInstance(facts)
+
+
+class TestKeyConstraints:
+    def test_ticket_key_on_scaled_instances(self):
+        layer = PersistenceLayer(SHAPES_SCHEMA, [ticket_key_constraint()])
+        base = scaled_ticket_instance(8, 6, 3)
+        cases = [
+            (base, True),
+            (base.with_changes(add=[resp("emp0", 2)]), False),
+            (base.with_changes(add=[resp("emp7", 6)]), True),
+            (base.with_changes(add=[resp("emp3", 1)]), True),  # two employees, one ticket
+            (base.with_changes(add=[resp("emp2", 4), resp("emp2", 5)]), False),
+        ]
+        for inst, ok in cases:
+            report = check_compliance(layer, inst)
+            assert report.ok == ok == brute_compliant(layer.constraints, inst)
+            assert report.violated == (() if ok else ("one_ticket_per_employee",))
+
+    def test_random_key_constraints(self):
+        rng = random.Random(31)
+        from generators import random_constraints
+
+        for _ in range(120):
+            schema = random_schema(rng)
+            layer = PersistenceLayer(schema, random_constraints(rng, schema))
+            inst = random_instance(rng, schema, max_facts=8)
+            expected = tuple(c.name for c in layer.constraints if not satisfies(inst, {}, c.query))
+            assert check_compliance(layer, inst).violated == expected
