@@ -44,10 +44,7 @@ from .persistence import (
     Fact,
     PersistenceLayer,
     RelationSchema,
-    active_domain,
     check_compliance,
-    instance_from_json,
-    instance_from_text,
     instance_to_json,
     instance_to_text,
 )
@@ -65,7 +62,6 @@ from .query import (
     eval_guard,
     forall,
     free_vars,
-    holds,
     implies,
     or_,
 )

@@ -14,7 +14,6 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -56,55 +55,6 @@ def _emit(message: str, severity: str = "error", stream=None) -> None:
         color = {"error": "\x1b[31m", "warning": "\x1b[33m"}.get(severity, "")
         message = f"{color}{message}\x1b[0m" if color else message
     print(message, file=stream)
-
-
-@dataclass
-class RunConfig:
-    """A validated run description: CLI flags merged over the scenario's
-    config section. Construction fails with ConfigError on unusable setups
-    (random policy without a seed, exhaustive run with missing domains)."""
-
-    scenario_path: str
-    seed: Optional[int] = None
-    policy: str = "exhaustive"
-    steps: int = 10
-    max_states: Optional[int] = None
-    max_depth: Optional[int] = None
-    goal_query: Optional[Query] = None
-    marking_conditions: list[tuple[str, str, int]] = field(default_factory=list)
-    out_path: Optional[Path] = None
-    final_db_path: Optional[Path] = None
-
-
-def simulate_config(args, scenario: dsl.Scenario) -> RunConfig:
-    seed = args.seed if args.seed is not None else scenario.config.get("seed")
-    steps = args.steps if args.steps is not None else scenario.config.get("steps", 10)
-    if args.policy == "random" and seed is None:
-        raise ConfigError("random policy requires --seed (or a config seed)")
-    out_path = Path(args.out)
-    final_db = Path(args.final_db) if args.final_db else out_path.with_suffix(".final.txt")
-    return RunConfig(
-        scenario_path=args.file,
-        seed=seed,
-        policy=args.policy,
-        steps=steps,
-        out_path=out_path,
-        final_db_path=final_db,
-    )
-
-
-def explore_config(args, scenario: dsl.Scenario) -> RunConfig:
-    _check_exhaustive_domains(scenario)
-    query, conditions = _parse_goal(scenario, args.goal, args.goal_marking or [])
-    return RunConfig(
-        scenario_path=args.file,
-        policy="exhaustive",
-        max_states=args.max_states if args.max_states is not None else scenario.config.get("max_states"),
-        max_depth=args.max_depth if args.max_depth is not None else scenario.config.get("max_depth"),
-        goal_query=query,
-        marking_conditions=conditions,
-        out_path=Path(args.out) if args.out else None,
-    )
 
 
 class _Exit(Exception):
@@ -165,22 +115,23 @@ def _write_final_db(path: str, snap: Snapshot) -> None:
 
 def cmd_simulate(args) -> int:
     scenario = _load(args.file)
-
-    try:
-        config = simulate_config(args, scenario)
-    except ConfigError as exc:
-        _emit(f"config error: {exc}")
+    seed = args.seed if args.seed is not None else scenario.config.get("seed")
+    steps = args.steps if args.steps is not None else scenario.config.get("steps", 10)
+    if args.policy == "random" and seed is None:
+        _emit("config error: random policy requires --seed (or a config seed)")
         return EXIT_CONFIG
+    out_path = Path(args.out)
+    final_db_path = Path(args.final_db) if args.final_db else out_path.with_suffix(".final.txt")
 
     net = scenario.net
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     snap = scenario.initial
     records: list[dict] = []
     deadlock = False
-    interactive = config.policy == "interactive"
+    interactive = args.policy == "interactive"
 
     try:
-        for step in range(1, config.steps + 1):
+        for step in range(1, steps + 1):
             firings = enabled_firings(net, snap, scenario.domains)
             if not firings:
                 deadlock = True
@@ -207,18 +158,18 @@ def cmd_simulate(args) -> int:
         "state": snapshot_digest(net, snap),
     }
     try:
-        with open(config.out_path, "w", encoding="utf-8") as fh:
+        with open(out_path, "w", encoding="utf-8") as fh:
             for record in records:
                 fh.write(_dump_json(record) + "\n")
             fh.write(_dump_json(summary) + "\n")
-        _write_final_db(config.final_db_path, snap)
+        _write_final_db(final_db_path, snap)
     except OSError as exc:
         _emit(f"i/o error: {exc}")
         return EXIT_IO
     note = " (deadlock)" if deadlock else ""
     print(
-        f"simulated {len(records)} step(s){note}; trace: {config.out_path}; "
-        f"final db: {config.final_db_path}"
+        f"simulated {len(records)} step(s){note}; trace: {out_path}; "
+        f"final db: {final_db_path}"
     )
     return EXIT_OK
 
@@ -304,18 +255,19 @@ def cmd_explore(args) -> int:
 
     net = scenario.net
     try:
-        config = explore_config(args, scenario)
+        _check_exhaustive_domains(scenario)
+        query, conditions = _parse_goal(scenario, args.goal, args.goal_marking or [])
     except (ConfigError, dsl.DslValidationError, dsl.DslSyntaxError) as exc:
         _emit(f"config error: {exc}")
         return EXIT_CONFIG
-    goal = _make_goal(net, config.goal_query, config.marking_conditions)
+    goal = _make_goal(net, query, conditions)
 
     lts = build_lts(
         net,
         scenario.initial,
         domains=scenario.domains,
-        max_states=config.max_states,
-        max_depth=config.max_depth,
+        max_states=args.max_states if args.max_states is not None else scenario.config.get("max_states"),
+        max_depth=args.max_depth if args.max_depth is not None else scenario.config.get("max_depth"),
         goal=goal,
     )
 
@@ -340,9 +292,9 @@ def cmd_explore(args) -> int:
             "witness_length": len(witness),
         },
     }
-    if config.out_path:
+    if args.out:
         try:
-            with open(config.out_path, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(_dump_json(report) + "\n")
         except OSError as exc:
             _emit(f"i/o error: {exc}")
@@ -385,6 +337,18 @@ def _check_exhaustive_domains(scenario: dsl.Scenario) -> None:
 # --- entry point ---------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """argparse type for counts and budgets, which the scenario's config
+    section also requires to be non-negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dbnet",
@@ -399,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a seeded or interactive simulation")
     p_sim.add_argument("file")
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--steps", type=int, default=None)
+    p_sim.add_argument("--steps", type=_count, default=None)
     p_sim.add_argument("--policy", choices=["random", "interactive"], default="random")
     p_sim.add_argument("--out", default="trace.jsonl", help="trace output (JSON lines)")
     p_sim.add_argument("--final-db", default=None, help="final database instance output")
@@ -407,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("explore", help="bounded exhaustive state-space exploration")
     p_exp.add_argument("file")
-    p_exp.add_argument("--max-states", type=int, default=None)
-    p_exp.add_argument("--max-depth", type=int, default=None)
+    p_exp.add_argument("--max-states", type=_count, default=None)
+    p_exp.add_argument("--max-depth", type=_count, default=None)
     p_exp.add_argument("--goal", default=None, help="boolean query or marking(<place>) >= k")
     p_exp.add_argument(
         "--goal-marking",

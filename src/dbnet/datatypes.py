@@ -329,21 +329,6 @@ def render_literal(v: Value) -> str:
     return str(p)
 
 
-def parse_literal_payload(text: str) -> Value:
-    """Parse a standalone literal, inferring its catalog type from shape."""
-    text = text.strip()
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return Value("string", unescape_string(text[1:-1]))
-    if text in ("true", "false"):
-        return Value("bool", text == "true")
-    body = text[1:] if text.startswith("-") else text
-    if body and body.replace(".", "", 1).isdigit():
-        if "." in body:
-            return Value("real", canon_decimal(text))
-        return Value("int", int(text))
-    raise DefinitionError(f"cannot parse literal {text!r}")
-
-
 def payload_from_json(cell: object, type_name: str) -> Value:
     """Rebuild a value from its JSON cell form (reals travel as strings)."""
     if type_name == "string":

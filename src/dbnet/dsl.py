@@ -38,7 +38,6 @@ from .persistence import (
     PersistenceLayer,
     RelationSchema,
     check_fact,
-    value_to_json,
 )
 from .query import (
     And,
@@ -1146,134 +1145,6 @@ def serialize(doc: NetDocument) -> str:
     return "\n".join(out).rstrip("\n") + "\n"
 
 
-# --- document JSON export -----------------------------------------------------
-
-
-def _term_json(term) -> dict:
-    if isinstance(term, VarRef):
-        return {"var": term.name}
-    return {"type": term.value.type_name, "value": value_to_json(term.value)}
-
-
-def _formula_json(node) -> dict:
-    if isinstance(node, FTrue):
-        return {"kind": "true"}
-    if isinstance(node, FAtom):
-        return {"kind": "atom", "name": node.name, "args": [_term_json(a) for a in node.args]}
-    if isinstance(node, FCompare):
-        return {
-            "kind": "compare",
-            "op": node.op,
-            "left": _term_json(node.left),
-            "right": _term_json(node.right),
-        }
-    if isinstance(node, FNot):
-        return {"kind": "not", "body": _formula_json(node.body)}
-    if isinstance(node, (FAnd, FOr, FImplies)):
-        kind = {"FAnd": "and", "FOr": "or", "FImplies": "implies"}[type(node).__name__]
-        return {"kind": kind, "left": _formula_json(node.left), "right": _formula_json(node.right)}
-    if isinstance(node, (FExists, FForall)):
-        kind = "exists" if isinstance(node, FExists) else "forall"
-        return {
-            "kind": kind,
-            "var": {"name": node.var.name, "type": node.var.type_name},
-            "body": _formula_json(node.body),
-        }
-    raise DbNetError(f"cannot export formula node {node!r}")
-
-
-def document_to_json(doc: NetDocument) -> dict:
-    """A tooling-friendly JSON rendering of the parsed document."""
-    def params_json(params):
-        return [{"name": p.name, "type": p.type_name} for p in params]
-
-    def arcs_json(arcs):
-        return [
-            {
-                "place": arc.place,
-                "tuples": [
-                    {"mult": t.mult, "terms": [_term_json(x) for x in t.terms]}
-                    for t in arc.tuples
-                ],
-            }
-            for arc in arcs
-        ]
-
-    return {
-        "types": None if doc.types is None else [t.name for t in doc.types],
-        "schema": [
-            {"name": r.name, "columns": [c.name for c in r.columns]} for r in doc.schema
-        ],
-        "constraints": [
-            {"name": c.name, "body": _formula_json(c.body)} for c in doc.constraints
-        ],
-        "queries": [
-            {"name": q.name, "params": params_json(q.params), "body": _formula_json(q.body)}
-            for q in doc.queries
-        ],
-        "actions": [
-            {
-                "name": a.name,
-                "params": params_json(a.params),
-                "del": [
-                    {"relation": t.relation, "args": [_term_json(x) for x in t.args]}
-                    for t in a.dels
-                ],
-                "add": [
-                    {"relation": t.relation, "args": [_term_json(x) for x in t.args]}
-                    for t in a.adds
-                ],
-            }
-            for a in doc.actions
-        ],
-        "places": [
-            {
-                "name": p.name,
-                "kind": p.kind,
-                "color": [c.name for c in p.color],
-                "query": p.query_name,
-            }
-            for p in doc.places
-        ],
-        "transitions": [
-            {
-                "name": t.name,
-                "vars": params_json(t.var_decls),
-                "fresh": params_json(t.fresh_decls),
-                "in": arcs_json(t.inputs),
-                "guard": _formula_json(t.guard),
-                "action": None
-                if t.action is None
-                else {"name": t.action.name, "args": [_term_json(x) for x in t.action.args]},
-                "out": arcs_json(t.outputs),
-                "rollback": arcs_json(t.rollbacks),
-            }
-            for t in doc.transitions
-        ],
-        "init": {
-            "facts": [
-                {"relation": f.relation, "args": [_term_json(x) for x in f.args]}
-                for f in doc.init_facts
-            ],
-            "marking": [
-                {
-                    "place": e.place,
-                    "tokens": [
-                        {"mult": t.mult, "terms": [_term_json(x) for x in t.terms]}
-                        for t in e.tokens
-                    ],
-                }
-                for e in doc.init_marking
-            ],
-        },
-        "domains": [
-            {"type": d.type_name, "values": [_term_json(v) for v in d.values]}
-            for d in doc.domains
-        ],
-        "config": {e.key: e.value for e in doc.config},
-    }
-
-
 # --- elaboration --------------------------------------------------------------
 
 
@@ -1292,6 +1163,11 @@ class Scenario:
     warnings: list[Diagnostic]
 
 
+def _ident_predicates(types: TypeDomain) -> set[str]:
+    """Identifier-shaped predicate names (e.g. succ) of the selected types."""
+    return {name for dt in types.types.values() for name in dt.predicates if name.isidentifier()}
+
+
 class _Elaborator:
     def __init__(self, doc: NetDocument):
         self.doc = doc
@@ -1308,10 +1184,11 @@ class _Elaborator:
     def run(self) -> Scenario:
         doc = self.doc
         self._types()
+        self.ident_predicates = _ident_predicates(self.types)
         schema = self._schema()
-        constraints = self._constraints(schema)
-        queries = self._queries(schema)
-        actions = self._actions(schema)
+        constraints = self._constraints()
+        queries = self._queries()
+        actions = self._actions()
         places = self._places()
         transitions = self._transitions()
         domains = self._domains()
@@ -1380,7 +1257,7 @@ class _Elaborator:
 
     # -- formulas ----------------------------------------------------------
 
-    def _term(self, term, scope: dict[str, Variable], span_hint: Span):
+    def _term(self, term, scope: dict[str, Variable]):
         if isinstance(term, VarRef):
             var = scope.get(term.name)
             if var is None:
@@ -1392,36 +1269,22 @@ class _Elaborator:
             return None
         return term.value
 
-    def _term_type(self, resolved) -> str | None:
-        if resolved is None:
-            return None
-        return resolved.type_name
-
-    def _ident_predicates(self) -> dict[str, str]:
-        """Identifier-shaped predicate names (e.g. succ) -> owning type."""
-        out = {}
-        for dt in self.types.types.values():
-            for name in dt.predicates:
-                if name.isidentifier():
-                    out[name] = dt.name
-        return out
-
     def _formula(self, node, scope: dict[str, Variable]) -> Query:
         if isinstance(node, FTrue):
             return Truth()
         if isinstance(node, FAtom):
-            args = tuple(self._term(a, scope, node.span) for a in node.args)
+            args = tuple(self._term(a, scope) for a in node.args)
             if any(a is None for a in args):
                 return Truth()
             if node.name in self.relations:
                 return RelationAtom(node.name, args)
-            if node.name in self._ident_predicates():
+            if node.name in self.ident_predicates:
                 return PredicateAtom(node.name, args)
             self.error(node.span, f"unknown relation {node.name!r}")
             return Truth()
         if isinstance(node, FCompare):
-            left = self._term(node.left, scope, node.span)
-            right = self._term(node.right, scope, node.span)
+            left = self._term(node.left, scope)
+            right = self._term(node.right, scope)
             if left is None or right is None:
                 return Truth()
             lt, rt = left.type_name, right.type_name
@@ -1468,7 +1331,7 @@ class _Elaborator:
             scope[p.name] = Variable(p.name, p.type_name, fresh)
         return scope
 
-    def _constraints(self, schema: DatabaseSchema) -> list[Constraint]:
+    def _constraints(self) -> list[Constraint]:
         out = []
         names = set()
         for c in self.doc.constraints:
@@ -1484,7 +1347,7 @@ class _Elaborator:
             out.append(Constraint(c.name, body))
         return out
 
-    def _queries(self, schema: DatabaseSchema) -> list[NamedQuery]:
+    def _queries(self) -> list[NamedQuery]:
         out = []
         names = set()
         for q in self.doc.queries:
@@ -1512,13 +1375,13 @@ class _Elaborator:
     def _template(self, atom: TemplateAtom, scope: dict[str, Variable]):
         args = []
         for term in atom.args:
-            resolved = self._term(term, scope, atom.span)
+            resolved = self._term(term, scope)
             if resolved is None:
                 return None
             args.append(resolved)
         return FactTemplate(atom.relation, tuple(args))
 
-    def _actions(self, schema: DatabaseSchema) -> list[Action]:
+    def _actions(self) -> list[Action]:
         out = []
         names = set()
         for a in self.doc.actions:
@@ -1564,7 +1427,7 @@ class _Elaborator:
             )
         return out
 
-    def _inscription(self, arcs: tuple[ArcDecl, ...], scope, where: str) -> dict[str, Multiset]:
+    def _inscription(self, arcs: tuple[ArcDecl, ...], scope) -> dict[str, Multiset]:
         out: dict[str, Multiset] = {}
         for arc in arcs:
             counts: dict[tuple, int] = {}
@@ -1572,7 +1435,7 @@ class _Elaborator:
                 terms = []
                 bad = False
                 for term in tup.terms:
-                    resolved = self._term(term, scope, tup.span)
+                    resolved = self._term(term, scope)
                     if resolved is None:
                         bad = True
                     terms.append(resolved)
@@ -1604,9 +1467,9 @@ class _Elaborator:
                 self.error(t.span, f"variable {name!r} declared both normal and fresh")
             scope = {**normal, **fresh}
 
-            inputs = self._inscription(t.inputs, scope, "input")
-            outputs = self._inscription(t.outputs, scope, "output")
-            rollbacks = self._inscription(t.rollbacks, scope, "rollback")
+            inputs = self._inscription(t.inputs, scope)
+            outputs = self._inscription(t.outputs, scope)
+            rollbacks = self._inscription(t.rollbacks, scope)
             for arc in t.inputs:
                 self.span_index[base + (f"input arc from {arc.place!r}",)] = arc.span
             for arc in t.outputs:
@@ -1626,7 +1489,7 @@ class _Elaborator:
                 args = []
                 bad = False
                 for term in t.action.args:
-                    resolved = self._term(term, scope, t.action.span)
+                    resolved = self._term(term, scope)
                     if resolved is None:
                         bad = True
                     args.append(resolved)
@@ -1774,22 +1637,13 @@ def elaborate(doc: NetDocument) -> Scenario:
     return _Elaborator(doc).run()
 
 
-def load_snapshot(doc: NetDocument) -> tuple[DbNet, Snapshot]:
-    """The (net, initial snapshot) pair of a parsed document."""
-    scenario = elaborate(doc)
-    return scenario.net, scenario.initial
-
-
-def load_scenario_text(text: str) -> Scenario:
-    return elaborate(parse(text))
-
-
 def elaborate_formula(scenario: Scenario, text: str) -> Query:
     """Parse and resolve a standalone formula against an elaborated scenario
     (used for reachability goals given on the command line)."""
     node = parse_formula(text)
     ela = _Elaborator(scenario.document)
     ela.types = scenario.net.types
+    ela.ident_predicates = _ident_predicates(ela.types)
     ela.relations = {r.name: r for r in scenario.document.schema}
     q = ela._formula(node, {})
     if ela.errors:

@@ -70,9 +70,6 @@ class Multiset(Generic[T]):
         """True iff `other` is a sub-multiset of self (other <= self)."""
         return all(self.count(x) >= n for x, n in other.items())
 
-    def __le__(self, other: "Multiset[T]") -> bool:
-        return other.includes(self)
-
     def __add__(self, other: "Multiset[T]") -> "Multiset[T]":
         counts = dict(self._counts)
         for x, n in other.items():
@@ -88,19 +85,6 @@ class Multiset(Generic[T]):
             if counts[x] == 0:
                 del counts[x]
         return Multiset.from_counts(counts)
-
-    def scale(self, k: int) -> "Multiset[T]":
-        """k copies of every element; 0 * S is the empty multiset."""
-        if k < 0:
-            raise ValueError("scalar must be a natural number")
-        if k == 0:
-            return Multiset()
-        return Multiset.from_counts({x: n * k for x, n in self._counts.items()})
-
-    def __mul__(self, k: int) -> "Multiset[T]":
-        return self.scale(k)
-
-    __rmul__ = __mul__
 
     def sorted_items(self, key: Callable[[T], object]) -> list[tuple[T, int]]:
         return sorted(self._counts.items(), key=lambda it: key(it[0]))

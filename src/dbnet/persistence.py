@@ -151,10 +151,6 @@ class DatabaseInstance:
         return report
 
 
-def active_domain(instance: DatabaseInstance, type_name: str) -> frozenset[Value]:
-    return instance.active_domain(type_name)
-
-
 def validate_instance(schema: DatabaseSchema, types: TypeDomain, instance: DatabaseInstance) -> None:
     """Raise DefinitionError unless every fact is well-typed for the schema."""
     for fact in instance.facts:
@@ -235,78 +231,6 @@ def instance_to_text(instance: DatabaseInstance) -> str:
     return "".join(fact_to_text(f) + "\n" for f in instance.canonical())
 
 
-def instance_from_text(text: str, schema: DatabaseSchema, types: TypeDomain) -> DatabaseInstance:
-    facts = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            facts.append(_parse_fact_line(line, schema))
-        except DefinitionError as exc:
-            raise DefinitionError(f"line {lineno}: {exc}") from None
-    instance = DatabaseInstance(facts)
-    validate_instance(schema, types, instance)
-    return instance
-
-
-def _parse_fact_line(line: str, schema: DatabaseSchema) -> Fact:
-    open_paren = line.find("(")
-    if open_paren <= 0 or not line.endswith(")"):
-        raise DefinitionError(f"expected Rel(v1, ...), got {line!r}")
-    name = line[:open_paren].strip()
-    rel = schema.relation(name)
-    body = line[open_paren + 1 : -1]
-    literals = _split_literals(body)
-    if len(literals) != rel.arity:
-        raise DefinitionError(f"{name!r} has arity {rel.arity}, got {len(literals)} values")
-    args = tuple(
-        _parse_literal(lit, col) for lit, col in zip(literals, rel.column_types)
-    )
-    return Fact(name, args)
-
-
-def _split_literals(body: str) -> list[str]:
-    parts: list[str] = []
-    depth_in_string = False
-    escaped = False
-    current: list[str] = []
-    for ch in body:
-        if depth_in_string:
-            current.append(ch)
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                depth_in_string = False
-        elif ch == '"':
-            depth_in_string = True
-            current.append(ch)
-        elif ch == ",":
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    last = "".join(current).strip()
-    if last or parts:
-        parts.append(last)
-    if depth_in_string:
-        raise DefinitionError("unterminated string literal")
-    return parts
-
-
-def _parse_literal(text: str, type_name: str) -> Value:
-    from .datatypes import parse_literal_payload
-
-    value = parse_literal_payload(text)
-    if value.type_name != type_name:
-        raise DefinitionError(
-            f"literal {text} is {value.type_name!r}, expected {type_name!r}"
-        )
-    return value
-
-
 def value_to_json(value: Value) -> object:
     if value.type_name == "real" or not isinstance(value.payload, (str, int, bool)):
         return format_decimal(value.payload)  # exact decimals travel as strings
@@ -319,21 +243,3 @@ def instance_to_json(instance: DatabaseInstance) -> dict[str, list[list[object]]
     for fact in instance.canonical():
         out.setdefault(fact.relation, []).append([value_to_json(a) for a in fact.args])
     return out
-
-
-def instance_from_json(data: dict, schema: DatabaseSchema, types: TypeDomain) -> DatabaseInstance:
-    from .datatypes import payload_from_json
-
-    facts = []
-    for name, rows in data.items():
-        rel = schema.relation(name)
-        for row in rows:
-            if len(row) != rel.arity:
-                raise DefinitionError(f"{name!r}: row {row!r} has wrong arity")
-            args = tuple(
-                payload_from_json(cell, col) for cell, col in zip(row, rel.column_types)
-            )
-            facts.append(Fact(name, args))
-    instance = DatabaseInstance(facts)
-    validate_instance(schema, types, instance)
-    return instance

@@ -98,15 +98,6 @@ def forall(var: Variable, body: Query) -> Query:
     return Not(Exists(var, Not(body)))
 
 
-def and_all(conjuncts: list[Query]) -> Query:
-    if not conjuncts:
-        return Truth()
-    out = conjuncts[0]
-    for q in conjuncts[1:]:
-        out = And(out, q)
-    return out
-
-
 def free_vars(query: Query) -> tuple[Variable, ...]:
     """Free variables in order of first free occurrence."""
     seen: dict[Variable, None] = {}
@@ -550,11 +541,6 @@ def answers(
     if cached is not None:
         return cached
     return instance.store_answers(named.cache_token, named.plan.answers(instance, types))
-
-
-def holds(named: NamedQuery, instance: DatabaseInstance, *, types: TypeDomain | None = None) -> bool:
-    """ans(Q, I) = true, for boolean queries."""
-    return () in answers(named, instance, types=types)
 
 
 def _ground(args: tuple[Term, ...], env: Substitution) -> tuple[Value, ...]:

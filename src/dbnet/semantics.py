@@ -240,8 +240,6 @@ def enumerate_bindings(
     snap: Snapshot,
     t: Transition,
     domains: InputDomains | None = None,
-    *,
-    fresh_exclusions: frozenset[Value] = frozenset(),
 ) -> list[Substitution]:
     """All enabled bindings of `t` in `snap`, in a canonical order.
 
@@ -249,9 +247,8 @@ def enumerate_bindings(
     variables range over the configured per-type input domains; each fresh
     variable receives one deterministically generated value per binding.
 
-    The enablement clause only forbids fresh values from the pre-state's
-    active domains; `fresh_exclusions` lets a caller additionally rule out
-    values seen earlier in a run (strict, run-global freshness).
+    Fresh values are new with respect to the pre-state only: they avoid the
+    instance's and the marking's active domains, and each other.
     """
     domains = domains or {}
     compiled = net.compiled(t)
@@ -312,7 +309,7 @@ def enumerate_bindings(
             full = dict(base)
             full.update(zip(external, combo))
             source = FreshSource()
-            excluded: set[Value] = set(fresh_exclusions)
+            excluded: set[Value] = set()
             for v, dt, pre in fresh_pre:
                 full[v] = fresh_value(dt, pre | excluded, source)
                 excluded.add(full[v])
@@ -367,25 +364,13 @@ def enabled_firings(
     net: DbNet,
     snap: Snapshot,
     domains: InputDomains | None = None,
-    *,
-    fresh_exclusions: frozenset[Value] = frozenset(),
 ) -> list[tuple[Transition, Substitution]]:
     """Every enabled (transition, binding) pair, transitions in name order."""
     out = []
     for t in net.sorted_transitions():
-        for sigma in enumerate_bindings(net, snap, t, domains, fresh_exclusions=fresh_exclusions):
+        for sigma in enumerate_bindings(net, snap, t, domains):
             out.append((t, sigma))
     return out
-
-
-def run_values(snap: Snapshot) -> frozenset[Value]:
-    """All values occurring in a snapshot; accumulate these across a run and
-    feed them back as `fresh_exclusions` for strict global freshness."""
-    values = {v for f in snap.instance.facts for v in f.args}
-    for name in snap.marking.place_names():
-        for token in snap.marking.tokens(name).distinct():
-            values.update(token)
-    return frozenset(values)
 
 
 # --- canonical forms and digests ---------------------------------------------
@@ -397,7 +382,7 @@ def token_text(token: Token) -> str:
     return "<" + ", ".join(render_literal(v) for v in token) + ">"
 
 
-def marking_text(net: DbNet, marking: Marking) -> str:
+def marking_text(marking: Marking) -> str:
     lines = []
     for name in sorted(marking.place_names()):
         ms = marking.tokens(name)
@@ -416,7 +401,7 @@ def snapshot_digest(net: DbNet, snap: Snapshot) -> str:
         h.update(fact_to_text(fact).encode("utf-8"))
         h.update(b"\n")
     h.update(b"--\n")
-    h.update(marking_text(net, snap.marking).encode("utf-8"))
+    h.update(marking_text(snap.marking).encode("utf-8"))
     return h.hexdigest()
 
 
@@ -605,7 +590,7 @@ def fact_json(fact) -> dict:
     return {"relation": fact.relation, "args": [value_json(a) for a in fact.args]}
 
 
-def marking_delta(net: DbNet, before: Marking, after: Marking) -> dict:
+def marking_delta(before: Marking, after: Marking) -> dict:
     """Per-place token differences, canonically ordered."""
     delta: dict[str, dict] = {}
     for name in sorted(before.place_names() | after.place_names()):
@@ -644,6 +629,6 @@ def firing_record(
         "committed": committed,
         "added": [fact_json(f) for f in added],
         "deleted": [fact_json(f) for f in deleted],
-        "marking_delta": marking_delta(net, before.marking, after.marking),
+        "marking_delta": marking_delta(before.marking, after.marking),
         "state": snapshot_digest(net, after),
     }

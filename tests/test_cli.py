@@ -245,9 +245,15 @@ class TestEntryPoint:
 
     def test_usage_error_is_config_error(self):
         # argparse exits 2 on its own, which would read as an I/O failure.
-        for flags in (["--workers", "4"], ["--max-states", "abc"]):
+        for command, *flags in (
+            ["explore", "--workers", "4"],
+            ["explore", "--max-states", "abc"],
+            ["explore", "--max-states", "-5"],
+            ["explore", "--max-depth", "-1"],
+            ["simulate", "--steps", "-3"],
+        ):
             proc = subprocess.run(
-                [sys.executable, "-m", "dbnet", "explore", TICKET, *flags],
+                [sys.executable, "-m", "dbnet", command, TICKET, *flags],
                 capture_output=True,
                 text=True,
             )

@@ -3,6 +3,7 @@ from decimal import Decimal
 
 import pytest
 
+from dbnet import dsl
 from dbnet.datatypes import (
     FreshSource,
     Value,
@@ -13,7 +14,6 @@ from dbnet.datatypes import (
     format_decimal,
     fresh_value,
     int_value,
-    parse_literal_payload,
     real_value,
     render_literal,
     string_value,
@@ -155,4 +155,5 @@ class TestDecimalsAndLiterals:
         [string_value('a "quoted" \\ line\nnext'), int_value(-7), real_value("2.25"), bool_value(False)],
     )
     def test_literal_round_trip(self, value):
-        assert parse_literal_payload(render_literal(value)) == value
+        (term,) = dsl.parse_formula(f"R({render_literal(value)})").args
+        assert term.value == value

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -93,7 +92,7 @@ class TestRandomRoundTrip:
 class TestLoadSnapshot:
     def test_ticket_initial_snapshot(self):
         doc = dsl.parse(scenario_text("ticket"))
-        net, snap = dsl.load_snapshot(doc)
+        snap = dsl.elaborate(doc).initial
         assert snap.marking.tokens("IdleEmps") == Multiset([(string_value("ann"),)])
         assert snap.marking.tokens("staff") == Multiset(
             [(string_value("ann"),), (string_value("bob"),)]
@@ -226,16 +225,6 @@ class TestSugarExpansion:
         body = q.body.body.body  # strip forall encoding
         assert isinstance(body, Not)
         assert isinstance(body.body, And)
-
-
-class TestDocumentJson:
-    def test_ticket_document_is_json_serializable(self):
-        doc = dsl.parse(scenario_text("ticket"))
-        data = dsl.document_to_json(doc)
-        text = json.dumps(data, sort_keys=True)
-        assert '"IdleEmp"' in text
-        assert data["config"]["seed"] == 42
-        assert [r["name"] for r in data["schema"]] == ["Emp", "Ticket", "Resp", "Log"]
 
 
 class TestGoalFormula:

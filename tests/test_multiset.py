@@ -7,12 +7,6 @@ from dbnet.multiset import EMPTY, Multiset
 multisets = st.lists(st.integers(min_value=0, max_value=5), max_size=8).map(Multiset)
 
 
-def test_scale_by_zero_is_empty():
-    s = Multiset(["a", "a", "b"])
-    assert 0 * s == EMPTY
-    assert s.scale(0) == Multiset()
-
-
 def test_union_adds_multiplicities():
     assert Multiset(["a"]) + Multiset(["a"]) == Multiset(["a", "a"])
 
@@ -47,11 +41,6 @@ def test_from_counts_rejects_negative():
         Multiset.from_counts({"a": -1})
 
 
-def test_scale_rejects_negative():
-    with pytest.raises(ValueError):
-        Multiset(["a"]).scale(-2)
-
-
 @given(multisets, multisets)
 def test_union_commutes(s1, s2):
     assert s1 + s2 == s2 + s1
@@ -60,14 +49,6 @@ def test_union_commutes(s1, s2):
 @given(multisets, multisets)
 def test_difference_inverts_union(s1, s2):
     assert (s1 + s2) - s2 == s1
-
-
-@given(multisets, st.integers(min_value=0, max_value=4))
-def test_scale_distributes(s, k):
-    total = EMPTY
-    for _ in range(k):
-        total = total + s
-    assert s.scale(k) == total
 
 
 @given(multisets, multisets)

@@ -70,23 +70,3 @@ def test_fresh_names_never_collide_with_marking(nu_demo_scenario):
             assert sigma[v] not in snap.marking.active_domain(v.type_name)
         snap, _ = fire(net, snap, t, sigma)
 
-
-def test_strict_global_freshness_never_reuses_names(nu_demo_scenario):
-    # Default mode may reuse a name after it leaves the marking; with
-    # accumulated exclusions a run never hands out the same name twice.
-    from dbnet.semantics import run_values
-
-    net = nu_demo_scenario.net
-    snap = nu_demo_scenario.initial
-    rng = random.Random(5)
-    seen = run_values(snap)
-    handed_out = set()
-    for _ in range(80):
-        firings = enabled_firings(net, snap, {}, fresh_exclusions=seen)
-        t, sigma = firings[rng.randrange(len(firings))]
-        for v in t.fresh_vars():
-            assert sigma[v] not in seen
-            assert sigma[v] not in handed_out
-            handed_out.add(sigma[v])
-        snap, _ = fire(net, snap, t, sigma)
-        seen = seen | run_values(snap) | handed_out

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dbnet.datatypes import Variable, int_value, string_value
+from dbnet.datatypes import Variable, int_value, real_value, string_value
 from dbnet.errors import DefinitionError
 from dbnet.persistence import (
     Constraint,
@@ -11,15 +11,12 @@ from dbnet.persistence import (
     Fact,
     PersistenceLayer,
     RelationSchema,
-    active_domain,
     check_compliance,
-    instance_from_json,
-    instance_from_text,
     instance_to_json,
     instance_to_text,
     validate_instance,
 )
-from dbnet.query import And, PredicateAtom, RelationAtom, and_all, entails, forall, implies
+from dbnet.query import And, PredicateAtom, RelationAtom, entails, forall, implies
 
 from generators import random_instance, random_schema
 
@@ -62,15 +59,15 @@ def one_ticket_key():
 class TestActiveDomain:
     def test_reads_off_facts(self):
         inst = DatabaseInstance([emp("ann"), resp("bob", 1)])
-        assert active_domain(inst, "int") == {int_value(1)}
+        assert inst.active_domain("int") == {int_value(1)}
 
     def test_empty_instance(self):
-        assert active_domain(DatabaseInstance(), "int") == frozenset()
-        assert active_domain(DatabaseInstance(), "string") == frozenset()
+        assert DatabaseInstance().active_domain("int") == frozenset()
+        assert DatabaseInstance().active_domain("string") == frozenset()
 
     def test_string_positions(self):
         inst = DatabaseInstance([ticket(1, "bug"), resp("bob", 1)])
-        assert active_domain(inst, "string") == {string_value("bug"), string_value("bob")}
+        assert inst.active_domain("string") == {string_value("bug"), string_value("bob")}
 
     def test_matches_independent_scan(self, catalog):
         rng = random.Random(5)
@@ -84,7 +81,7 @@ class TestActiveDomain:
                     for v in f.args
                     if v.type_name == type_name
                 }
-                assert active_domain(inst, type_name) == scan
+                assert inst.active_domain(type_name) == scan
                 assert all(catalog.type(type_name).contains(v.payload) for v in scan)
 
 
@@ -145,7 +142,8 @@ class TestCompliance:
             forall(e, forall(t, implies(RelationAtom("Resp", (e, t)), RelationAtom("Emp", (e,))))),
         )
         layer = PersistenceLayer(schema, [one_ticket_key(), fk])
-        conjunction = and_all([c.query for c in layer.constraints])
+        first, second = (c.query for c in layer.constraints)
+        conjunction = And(first, second)
         rng = random.Random(11)
         pool = [
             emp("ann"), emp("bob"), resp("ann", 1), resp("ann", 2),
@@ -157,27 +155,17 @@ class TestCompliance:
 
 
 class TestSerialization:
-    def test_text_round_trip(self, schema, catalog):
-        inst = DatabaseInstance([emp("ann"), ticket(1, 'say "hi"\n'), resp("bob", 1)])
-        text = instance_to_text(inst)
-        assert instance_from_text(text, schema, catalog) == inst
+    def test_text_escapes_strings(self):
+        inst = DatabaseInstance([ticket(1, 'say "hi"\n')])
+        assert instance_to_text(inst) == 'Ticket(1, "say \\"hi\\"\\n")\n'
 
     def test_text_form_lines(self, schema, catalog):
         inst = DatabaseInstance([emp("ann"), resp("bob", 1)])
         assert instance_to_text(inst) == 'Emp("ann")\nResp("bob", 1)\n'
 
-    def test_text_ignores_comments_and_blanks(self, schema, catalog):
-        text = '# users\n\nEmp("ann")\n'
-        assert instance_from_text(text, schema, catalog) == DatabaseInstance([emp("ann")])
-
-    def test_json_round_trip(self, schema, catalog):
-        inst = DatabaseInstance([emp("ann"), ticket(2, "x"), resp("ann", 2)])
-        data = instance_to_json(inst)
-        assert instance_from_json(data, schema, catalog) == inst
-
-    def test_bad_line_reports_position(self, schema, catalog):
-        with pytest.raises(DefinitionError, match="line 2"):
-            instance_from_text('Emp("ann")\nEmp(3)\n', schema, catalog)
+    def test_json_writes_reals_as_decimal_strings(self):
+        inst = DatabaseInstance([Fact("Price", (int_value(2), real_value("2.50")))])
+        assert instance_to_json(inst) == {"Price": [[2, "2.5"]]}
 
 
 class TestCustomTypeDomain:
