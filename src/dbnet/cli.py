@@ -254,7 +254,11 @@ def cmd_explore(args) -> int:
     scenario = _load(args.file)
 
     net = scenario.net
+    max_states = args.max_states if args.max_states is not None else scenario.config.get("max_states")
     try:
+        if max_states is not None and max_states < 1:
+            # The initial state is always stored, so no smaller budget holds.
+            raise ConfigError(f"state budget must be at least 1, got {max_states}")
         _check_exhaustive_domains(scenario)
         query, conditions = _parse_goal(scenario, args.goal, args.goal_marking or [])
     except (ConfigError, dsl.DslValidationError, dsl.DslSyntaxError) as exc:
@@ -266,7 +270,7 @@ def cmd_explore(args) -> int:
         net,
         scenario.initial,
         domains=scenario.domains,
-        max_states=args.max_states if args.max_states is not None else scenario.config.get("max_states"),
+        max_states=max_states,
         max_depth=args.max_depth if args.max_depth is not None else scenario.config.get("max_depth"),
         goal=goal,
     )

@@ -66,6 +66,8 @@ RESERVED = {
     "marking", "exists", "forall", "not", "and", "or", "true", "false",
 }
 
+SECTIONS = ("types", "schema", "constraints", "queries", "actions", "net", "init", "domains", "config")
+
 
 @dataclass(frozen=True)
 class Span:
@@ -243,7 +245,6 @@ class PlaceDecl:
     color: tuple[TypeRef, ...]
     query_name: Optional[str] = None
     span: Span = field(compare=False, default=NO_SPAN)
-    query_span: Span = field(compare=False, default=NO_SPAN)
 
 
 @dataclass(frozen=True)
@@ -477,164 +478,135 @@ class _Parser:
             self.fail(f"{self.cur.text!r} is a reserved word and cannot name a {what}")
         return self.advance()
 
+    def eat_type(self) -> _Tok:
+        if self.cur.kind != "IDENT":
+            self.fail("expected a type name")
+        return self.advance()
+
+    def seq(self, close: str, item, sep: str | None = None) -> tuple:
+        """Read `item()`s up to the `close` punctuation, each optionally
+        followed by `sep`, and consume the `close`."""
+        items = []
+        while not self.at_punct(close):
+            items.append(item())
+            if sep is not None and self.at_punct(sep):
+                self.advance()
+        self.eat_punct(close)
+        return tuple(items)
+
+    def clauses(self, readers: dict, noun: str, unknown) -> dict:
+        """Read keyword-led clauses up to '}', each at most once; `readers`
+        maps a keyword to the reader of what follows it, and `unknown(tok)`
+        gives the message for a token that starts no clause."""
+        found: dict = {}
+        while not self.at_punct("}"):
+            tok = self.cur
+            if tok.text in found:
+                self.fail(f"duplicate {tok.text!r} {noun}", tok)
+            if tok.kind != "IDENT" or tok.text not in readers:
+                self.fail(unknown(tok), tok)
+            self.advance()
+            found[tok.text] = readers[tok.text]()
+        self.eat_punct("}")
+        return found
+
+    def type_ref(self) -> TypeRef:
+        tok = self.eat_type()
+        return TypeRef(tok.text, tok.span)
+
+    def typed_var(self) -> ParamDecl:
+        name = self.eat_name("variable name")
+        self.eat_punct(":")
+        return ParamDecl(name.text, self.eat_type().text, name.span)
+
     # -- document --------------------------------------------------------
 
     def document(self) -> NetDocument:
         sections: dict[str, object] = {}
-        order = []
         while self.cur.kind != "EOF":
             tok = self.cur
-            if tok.kind != "IDENT" or tok.text not in (
-                "types", "schema", "constraints", "queries", "actions",
-                "net", "init", "domains", "config",
-            ):
+            if tok.kind != "IDENT" or tok.text not in SECTIONS:
                 self.fail("expected a section header")
             if tok.text in sections:
                 self.fail(f"duplicate section {tok.text!r}", tok)
+            self.advance()
+            self.eat_punct("{")
             sections[tok.text] = getattr(self, f"_sec_{tok.text}")()
-            order.append(tok.text)
         if "schema" not in sections:
             self.fail("missing schema section", self.cur)
         net = sections.get("net", ((), ()))
-        init = sections.get("init", ((), ()))
+        init = sections.get("init", {})
         return NetDocument(
             types=sections.get("types"),
-            schema=sections.get("schema", ()),
+            schema=sections["schema"],
             constraints=sections.get("constraints", ()),
             queries=sections.get("queries", ()),
             actions=sections.get("actions", ()),
             places=net[0],
             transitions=net[1],
-            init_facts=init[0],
-            init_marking=init[1],
+            init_facts=init.get("facts", ()),
+            init_marking=init.get("marking", ()),
             domains=sections.get("domains", ()),
             config=sections.get("config", ()),
         )
 
     def _sec_types(self):
-        self.eat_kw("types")
-        self.eat_punct("{")
-        refs = []
-        while not self.at_punct("}"):
-            tok = self.advance()
-            if tok.kind != "IDENT":
-                self.fail("expected a type name", tok)
-            refs.append(TypeRef(tok.text, tok.span))
-            if self.at_punct(","):
-                self.advance()
-        self.eat_punct("}")
-        return tuple(refs)
+        return self.seq("}", self.type_ref, ",")
 
     def _sec_schema(self):
-        self.eat_kw("schema")
-        self.eat_punct("{")
-        rels = []
-        while not self.at_punct("}"):
-            name = self.eat_name("relation name")
-            self.eat_punct("(")
-            cols = []
-            while not self.at_punct(")"):
-                tok = self.advance()
-                if tok.kind != "IDENT":
-                    self.fail("expected a type name", tok)
-                cols.append(TypeRef(tok.text, tok.span))
-                if self.at_punct(","):
-                    self.advance()
-            self.eat_punct(")")
-            rels.append(RelDecl(name.text, tuple(cols), name.span))
-        self.eat_punct("}")
-        return tuple(rels)
+        return self.seq("}", self.rel_decl)
+
+    def rel_decl(self) -> RelDecl:
+        name = self.eat_name("relation name")
+        self.eat_punct("(")
+        return RelDecl(name.text, self.seq(")", self.type_ref, ","), name.span)
 
     def _sec_constraints(self):
-        self.eat_kw("constraints")
-        self.eat_punct("{")
-        out = []
-        while not self.at_punct("}"):
-            name = self.eat_name("constraint name")
-            self.eat_punct(":")
-            body = self.formula()
-            out.append(ConstraintDecl(name.text, body, name.span))
-        self.eat_punct("}")
-        return tuple(out)
+        return self.seq("}", self.constraint_decl)
+
+    def constraint_decl(self) -> ConstraintDecl:
+        name = self.eat_name("constraint name")
+        self.eat_punct(":")
+        return ConstraintDecl(name.text, self.formula(), name.span)
 
     def _sec_queries(self):
-        self.eat_kw("queries")
-        self.eat_punct("{")
-        out = []
-        while not self.at_punct("}"):
-            name = self.eat_name("query name")
-            params = self.param_list()
-            self.eat_punct(":=")
-            body = self.formula()
-            out.append(QueryDecl(name.text, params, body, name.span))
-        self.eat_punct("}")
-        return tuple(out)
+        return self.seq("}", self.query_decl)
+
+    def query_decl(self) -> QueryDecl:
+        name = self.eat_name("query name")
+        params = self.param_list()
+        self.eat_punct(":=")
+        return QueryDecl(name.text, params, self.formula(), name.span)
 
     def param_list(self) -> tuple[ParamDecl, ...]:
         self.eat_punct("(")
-        params = []
-        while not self.at_punct(")"):
-            name = self.eat_name("variable name")
-            self.eat_punct(":")
-            type_tok = self.advance()
-            if type_tok.kind != "IDENT":
-                self.fail("expected a type name", type_tok)
-            params.append(ParamDecl(name.text, type_tok.text, name.span))
-            if self.at_punct(","):
-                self.advance()
-        self.eat_punct(")")
-        return tuple(params)
+        return self.seq(")", self.typed_var, ",")
 
     def _sec_actions(self):
-        self.eat_kw("actions")
+        return self.seq("}", self.action_decl)
+
+    def action_decl(self) -> ActionDecl:
+        self.eat_kw("action")
+        name = self.eat_name("action name")
+        params = self.param_list()
         self.eat_punct("{")
-        out = []
-        while not self.at_punct("}"):
-            self.eat_kw("action")
-            name = self.eat_name("action name")
-            params = self.param_list()
-            self.eat_punct("{")
-            dels: tuple = ()
-            adds: tuple = ()
-            seen = set()
-            while not self.at_punct("}"):
-                if self.at_kw("del") or self.at_kw("add"):
-                    which = self.advance().text
-                    if which in seen:
-                        self.fail(f"duplicate {which!r} block")
-                    seen.add(which)
-                    atoms = self.template_block()
-                    if which == "del":
-                        dels = atoms
-                    else:
-                        adds = atoms
-                else:
-                    self.fail("expected 'add' or 'del'")
-            self.eat_punct("}")
-            out.append(ActionDecl(name.text, params, dels, adds, name.span))
-        self.eat_punct("}")
-        return tuple(out)
+        blocks = self.clauses(
+            {"del": self.template_block, "add": self.template_block},
+            "block", lambda tok: "expected 'add' or 'del'",
+        )
+        return ActionDecl(name.text, params, blocks.get("del", ()), blocks.get("add", ()), name.span)
 
     def template_block(self) -> tuple[TemplateAtom, ...]:
         self.eat_punct("{")
-        atoms = []
-        while not self.at_punct("}"):
-            atoms.append(self.template_atom())
-            if self.at_punct(","):
-                self.advance()
-        self.eat_punct("}")
-        return tuple(atoms)
+        return self.seq("}", self.template_atom, ",")
 
     def template_atom(self) -> TemplateAtom:
         name = self.eat_name("relation name")
+        return TemplateAtom(name.text, self.args(), name.span)
+
+    def args(self) -> tuple:
         self.eat_punct("(")
-        args = []
-        while not self.at_punct(")"):
-            args.append(self.term())
-            if self.at_punct(","):
-                self.advance()
-        self.eat_punct(")")
-        return TemplateAtom(name.text, tuple(args), name.span)
+        return self.seq(")", self.term, ",")
 
     def term(self):
         tok = self.cur
@@ -685,14 +657,9 @@ class _Parser:
             return FNot(self.unary(), tok.span)
         if self.at_kw("exists") or self.at_kw("forall"):
             tok = self.advance()
-            name = self.eat_name("variable name")
-            self.eat_punct(":")
-            type_tok = self.advance()
-            if type_tok.kind != "IDENT":
-                self.fail("expected a type name", type_tok)
+            decl = self.typed_var()
             self.eat_punct(".")
             body = self.formula()
-            decl = ParamDecl(name.text, type_tok.text, name.span)
             cls = FExists if tok.text == "exists" else FForall
             return cls(decl, body, tok.span)
         return self.primary()
@@ -711,14 +678,7 @@ class _Parser:
             return FTrue(tok.span)
         if tok.kind == "IDENT" and tok.text not in RESERVED and self.peek().kind == "PUNCT" and self.peek().text == "(":
             name = self.advance()
-            self.eat_punct("(")
-            args = []
-            while not self.at_punct(")"):
-                args.append(self.term())
-                if self.at_punct(","):
-                    self.advance()
-            self.eat_punct(")")
-            return FAtom(name.text, tuple(args), name.span)
+            return FAtom(name.text, self.args(), name.span)
         left = self.term()
         if self.at_punct("=") or self.at_punct("<"):
             op = self.advance()
@@ -729,19 +689,18 @@ class _Parser:
     # -- net ---------------------------------------------------------------
 
     def _sec_net(self):
-        self.eat_kw("net")
-        self.eat_punct("{")
-        places: list[PlaceDecl] = []
-        transitions: list[TransitionDecl] = []
-        while not self.at_punct("}"):
-            if self.at_kw("place") or self.at_kw("view"):
-                places.append(self.place_decl())
-            elif self.at_kw("transition"):
-                transitions.append(self.transition_decl())
-            else:
-                self.fail("expected 'place', 'view place', or 'transition'")
-        self.eat_punct("}")
-        return tuple(places), tuple(transitions)
+        decls = self.seq("}", self.net_decl)
+        return (
+            tuple(d for d in decls if isinstance(d, PlaceDecl)),
+            tuple(d for d in decls if isinstance(d, TransitionDecl)),
+        )
+
+    def net_decl(self):
+        if self.at_kw("place") or self.at_kw("view"):
+            return self.place_decl()
+        if self.at_kw("transition"):
+            return self.transition_decl()
+        self.fail("expected 'place', 'view place', or 'transition'")
 
     def place_decl(self) -> PlaceDecl:
         kind = "control"
@@ -752,107 +711,58 @@ class _Parser:
         name = self.eat_name("place name")
         self.eat_punct(":")
         self.eat_punct("(")
-        color = []
-        while not self.at_punct(")"):
-            tok = self.advance()
-            if tok.kind != "IDENT":
-                self.fail("expected a type name", tok)
-            color.append(TypeRef(tok.text, tok.span))
-            if self.at_punct("><"):
-                self.advance()
-        self.eat_punct(")")
+        color = self.seq(")", self.type_ref, "><")
         query_name = None
-        query_span = NO_SPAN
         if self.at_punct("<-"):
             self.advance()
-            q = self.eat_name("query name")
-            query_name, query_span = q.text, q.span
-        return PlaceDecl(name.text, kind, tuple(color), query_name, name.span, query_span)
+            query_name = self.eat_name("query name").text
+        return PlaceDecl(name.text, kind, color, query_name, name.span)
 
     def transition_decl(self) -> TransitionDecl:
         self.eat_kw("transition")
         name = self.eat_name("transition name")
         self.eat_punct("{")
-        var_decls: tuple = ()
-        fresh_decls: tuple = ()
-        inputs: tuple = ()
-        outputs: tuple = ()
-        rollbacks: tuple = ()
-        guard: object = FTrue()
-        action: Optional[ActionRef] = None
-        seen: set[str] = set()
-        while not self.at_punct("}"):
-            tok = self.cur
-            if tok.kind != "IDENT":
-                self.fail("expected a transition clause")
-            clause = tok.text
-            if clause in seen:
-                self.fail(f"duplicate {clause!r} clause", tok)
-            if clause in ("vars", "fresh"):
-                self.advance()
-                self.eat_punct("{")
-                params = []
-                while not self.at_punct("}"):
-                    pname = self.eat_name("variable name")
-                    self.eat_punct(":")
-                    type_tok = self.advance()
-                    if type_tok.kind != "IDENT":
-                        self.fail("expected a type name", type_tok)
-                    params.append(ParamDecl(pname.text, type_tok.text, pname.span))
-                    if self.at_punct(","):
-                        self.advance()
-                self.eat_punct("}")
-                if clause == "vars":
-                    var_decls = tuple(params)
-                else:
-                    fresh_decls = tuple(params)
-            elif clause in ("in", "out", "rollback"):
-                self.advance()
-                arcs = self.arc_block()
-                if clause == "in":
-                    inputs = arcs
-                elif clause == "out":
-                    outputs = arcs
-                else:
-                    rollbacks = arcs
-            elif clause == "guard":
-                self.advance()
-                guard = self.formula()
-            elif clause == "action":
-                self.advance()
-                aname = self.eat_name("action name")
-                self.eat_punct("(")
-                args = []
-                while not self.at_punct(")"):
-                    args.append(self.term())
-                    if self.at_punct(","):
-                        self.advance()
-                self.eat_punct(")")
-                action = ActionRef(aname.text, tuple(args), aname.span)
-            else:
-                self.fail(f"unknown transition clause {clause!r}", tok)
-            seen.add(clause)
-        self.eat_punct("}")
-        return TransitionDecl(
-            name.text, var_decls, fresh_decls, inputs, outputs, rollbacks,
-            guard, action, name.span,
+        c = self.clauses(
+            {
+                "vars": self.var_block, "fresh": self.var_block,
+                "in": self.arc_block, "out": self.arc_block, "rollback": self.arc_block,
+                "guard": self.formula, "action": self.action_ref,
+            },
+            "clause",
+            lambda tok: (
+                f"unknown transition clause {tok.text!r}" if tok.kind == "IDENT"
+                else "expected a transition clause"
+            ),
         )
+        return TransitionDecl(
+            name.text, c.get("vars", ()), c.get("fresh", ()), c.get("in", ()),
+            c.get("out", ()), c.get("rollback", ()), c.get("guard", FTrue()),
+            c.get("action"), name.span,
+        )
+
+    def var_block(self) -> tuple[ParamDecl, ...]:
+        self.eat_punct("{")
+        return self.seq("}", self.typed_var, ",")
+
+    def action_ref(self) -> ActionRef:
+        name = self.eat_name("action name")
+        return ActionRef(name.text, self.args(), name.span)
 
     def arc_block(self) -> tuple[ArcDecl, ...]:
         self.eat_punct("{")
-        arcs = []
-        while not self.at_punct("}"):
-            pname = self.eat_name("place name")
-            self.eat_punct("->")
-            tuples = [self.insc_tuple()]
-            while self.at_punct(","):
-                self.advance()
-                tuples.append(self.insc_tuple())
-            arcs.append(ArcDecl(pname.text, tuple(tuples), pname.span))
-            if self.at_punct(";"):
-                self.advance()
-        self.eat_punct("}")
-        return tuple(arcs)
+        return self.seq("}", self.arc_decl, ";")
+
+    def arc_decl(self) -> ArcDecl:
+        name = self.eat_name("place name")
+        self.eat_punct("->")
+        return ArcDecl(name.text, self.insc_tuples(), name.span)
+
+    def insc_tuples(self) -> tuple[InscTuple, ...]:
+        tuples = [self.insc_tuple()]
+        while self.at_punct(","):
+            self.advance()
+            tuples.append(self.insc_tuple())
+        return tuple(tuples)
 
     def insc_tuple(self) -> InscTuple:
         mult = 1
@@ -863,90 +773,52 @@ class _Parser:
                 self.fail("multiplicity must be positive", start)
             self.eat_punct("*")
         self.eat_punct("<")
-        terms = []
-        while not self.at_punct(">"):
-            terms.append(self.term())
-            if self.at_punct(","):
-                self.advance()
-        self.eat_punct(">")
-        return InscTuple(mult, tuple(terms), start.span)
+        return InscTuple(mult, self.seq(">", self.term, ","), start.span)
 
     # -- init / domains / config -------------------------------------------
 
     def _sec_init(self):
-        self.eat_kw("init")
+        return self.clauses(
+            {"facts": self.template_block, "marking": self.marking_block},
+            "block", lambda tok: "expected 'facts' or 'marking'",
+        )
+
+    def marking_block(self) -> tuple[MarkingEntry, ...]:
         self.eat_punct("{")
-        facts: tuple = ()
-        marking: tuple = ()
-        seen = set()
-        while not self.at_punct("}"):
-            if self.at_kw("facts"):
-                if "facts" in seen:
-                    self.fail("duplicate 'facts' block")
-                seen.add("facts")
-                self.advance()
-                facts = self.template_block()
-            elif self.at_kw("marking"):
-                if "marking" in seen:
-                    self.fail("duplicate 'marking' block")
-                seen.add("marking")
-                self.advance()
-                self.eat_punct("{")
-                entries = []
-                while not self.at_punct("}"):
-                    pname = self.eat_name("place name")
-                    self.eat_punct(":")
-                    tokens = [self.insc_tuple()]
-                    while self.at_punct(","):
-                        self.advance()
-                        tokens.append(self.insc_tuple())
-                    entries.append(MarkingEntry(pname.text, tuple(tokens), pname.span))
-                    if self.at_punct(";"):
-                        self.advance()
-                self.eat_punct("}")
-                marking = tuple(entries)
-            else:
-                self.fail("expected 'facts' or 'marking'")
-        self.eat_punct("}")
-        return facts, marking
+        return self.seq("}", self.marking_entry, ";")
+
+    def marking_entry(self) -> MarkingEntry:
+        name = self.eat_name("place name")
+        self.eat_punct(":")
+        return MarkingEntry(name.text, self.insc_tuples(), name.span)
 
     def _sec_domains(self):
-        self.eat_kw("domains")
-        self.eat_punct("{")
-        out = []
-        while not self.at_punct("}"):
-            tok = self.advance()
-            if tok.kind != "IDENT":
-                self.fail("expected a type name", tok)
-            self.eat_punct(":")
-            self.eat_punct("[")
-            values = []
-            while not self.at_punct("]"):
-                term = self.term()
-                if isinstance(term, VarRef):
-                    self.fail("input domains hold literals only", tok)
-                values.append(term)
-                if self.at_punct(","):
-                    self.advance()
-            self.eat_punct("]")
-            out.append(DomainDecl(tok.text, tuple(values), tok.span))
-        self.eat_punct("}")
-        return tuple(out)
+        return self.seq("}", self.domain_decl)
+
+    def domain_decl(self) -> DomainDecl:
+        tok = self.eat_type()
+        self.eat_punct(":")
+        self.eat_punct("[")
+
+        def literal():
+            term = self.term()
+            if isinstance(term, VarRef):
+                self.fail("input domains hold literals only", tok)
+            return term
+
+        return DomainDecl(tok.text, self.seq("]", literal, ","), tok.span)
 
     def _sec_config(self):
-        self.eat_kw("config")
-        self.eat_punct("{")
-        out = []
-        while not self.at_punct("}"):
-            key = self.eat_name("config key")
-            self.eat_punct(":")
-            tok = self.cur
-            if tok.kind != "INT":
-                self.fail("expected an integer")
-            self.advance()
-            out.append(ConfigEntry(key.text, tok.value, key.span))
-        self.eat_punct("}")
-        return tuple(out)
+        return self.seq("}", self.config_entry)
+
+    def config_entry(self) -> ConfigEntry:
+        key = self.eat_name("config key")
+        self.eat_punct(":")
+        tok = self.cur
+        if tok.kind != "INT":
+            self.fail("expected an integer")
+        self.advance()
+        return ConfigEntry(key.text, tok.value, key.span)
 
 
 def parse(text: str) -> NetDocument:
@@ -1181,6 +1053,18 @@ class _Elaborator:
     def error(self, span: Span, message: str, clause: str = "") -> None:
         self.errors.append(Diagnostic("error", span, message, clause))
 
+    def _declared(self, decls, section: str, noun: str):
+        """Yield the declarations whose name is new, after recording each
+        one's span under `(section, name)`; report every repeat."""
+        names = set()
+        for decl in decls:
+            self.span_index[(section, decl.name)] = decl.span
+            if decl.name in names:
+                self.error(decl.span, f"duplicate {noun} {decl.name!r}")
+                continue
+            names.add(decl.name)
+            yield decl
+
     def run(self) -> Scenario:
         doc = self.doc
         self._types()
@@ -1241,11 +1125,7 @@ class _Elaborator:
 
     def _schema(self) -> DatabaseSchema:
         rels = []
-        for rel in self.doc.schema:
-            self.span_index[("schema", rel.name)] = rel.span
-            if rel.name in self.relations:
-                self.error(rel.span, f"duplicate relation {rel.name!r}")
-                continue
+        for rel in self._declared(self.doc.schema, "schema", "relation"):
             self.relations[rel.name] = rel
             if not rel.columns:
                 self.error(rel.span, f"relation {rel.name!r} must have arity >= 1")
@@ -1269,12 +1149,17 @@ class _Elaborator:
             return None
         return term.value
 
+    def _terms(self, terms, scope: dict[str, Variable]) -> Optional[tuple]:
+        """Resolve every term, reporting each one that fails; None if any did."""
+        resolved = tuple(self._term(t, scope) for t in terms)
+        return None if any(r is None for r in resolved) else resolved
+
     def _formula(self, node, scope: dict[str, Variable]) -> Query:
         if isinstance(node, FTrue):
             return Truth()
         if isinstance(node, FAtom):
-            args = tuple(self._term(a, scope) for a in node.args)
-            if any(a is None for a in args):
+            args = self._terms(node.args, scope)
+            if args is None:
                 return Truth()
             if node.name in self.relations:
                 return RelationAtom(node.name, args)
@@ -1333,13 +1218,7 @@ class _Elaborator:
 
     def _constraints(self) -> list[Constraint]:
         out = []
-        names = set()
-        for c in self.doc.constraints:
-            self.span_index[("constraints", c.name)] = c.span
-            if c.name in names:
-                self.error(c.span, f"duplicate constraint {c.name!r}")
-                continue
-            names.add(c.name)
+        for c in self._declared(self.doc.constraints, "constraints", "constraint"):
             body = self._formula(c.body, {})
             if free_vars(body):
                 self.error(c.span, f"constraint {c.name!r} has free variables")
@@ -1349,13 +1228,7 @@ class _Elaborator:
 
     def _queries(self) -> list[NamedQuery]:
         out = []
-        names = set()
-        for q in self.doc.queries:
-            self.span_index[("queries", q.name)] = q.span
-            if q.name in names:
-                self.error(q.span, f"duplicate query {q.name!r}")
-                continue
-            names.add(q.name)
+        for q in self._declared(self.doc.queries, "queries", "query"):
             scope = self._params(q.params, f"query {q.name!r}")
             if len(scope) != len(q.params):
                 continue
@@ -1373,23 +1246,12 @@ class _Elaborator:
         return out
 
     def _template(self, atom: TemplateAtom, scope: dict[str, Variable]):
-        args = []
-        for term in atom.args:
-            resolved = self._term(term, scope)
-            if resolved is None:
-                return None
-            args.append(resolved)
-        return FactTemplate(atom.relation, tuple(args))
+        args = self._terms(atom.args, scope)
+        return None if args is None else FactTemplate(atom.relation, args)
 
     def _actions(self) -> list[Action]:
         out = []
-        names = set()
-        for a in self.doc.actions:
-            self.span_index[("actions", a.name)] = a.span
-            if a.name in names:
-                self.error(a.span, f"duplicate action {a.name!r}")
-                continue
-            names.add(a.name)
+        for a in self._declared(self.doc.actions, "actions", "action"):
             scope = self._params(a.params, f"action {a.name!r}")
             if len(scope) != len(a.params):
                 continue
@@ -1409,15 +1271,7 @@ class _Elaborator:
 
     def _places(self) -> list[Place]:
         out = []
-        names = set()
-        for p in self.doc.places:
-            self.span_index[("place", p.name)] = p.span
-            if p.query_name is not None:
-                self.span_index[("place", p.name, "query")] = p.query_span
-            if p.name in names:
-                self.error(p.span, f"duplicate place {p.name!r}")
-                continue
-            names.add(p.name)
+        for p in self._declared(self.doc.places, "place", "place"):
             for c in p.color:
                 self._check_type(c)
             if p.kind == "view" and p.query_name is None:
@@ -1432,17 +1286,9 @@ class _Elaborator:
         for arc in arcs:
             counts: dict[tuple, int] = {}
             for tup in arc.tuples:
-                terms = []
-                bad = False
-                for term in tup.terms:
-                    resolved = self._term(term, scope)
-                    if resolved is None:
-                        bad = True
-                    terms.append(resolved)
-                if bad:
-                    continue
-                key = tuple(terms)
-                counts[key] = counts.get(key, 0) + tup.mult
+                key = self._terms(tup.terms, scope)
+                if key is not None:
+                    counts[key] = counts.get(key, 0) + tup.mult
             inscription = Multiset.from_counts(counts)
             if arc.place in out:
                 out[arc.place] = out[arc.place] + inscription
@@ -1452,14 +1298,8 @@ class _Elaborator:
 
     def _transitions(self) -> list[Transition]:
         out = []
-        names = set()
-        for t in self.doc.transitions:
+        for t in self._declared(self.doc.transitions, "transition", "transition"):
             base = ("transition", t.name)
-            self.span_index[base] = t.span
-            if t.name in names:
-                self.error(t.span, f"duplicate transition {t.name!r}")
-                continue
-            names.add(t.name)
             normal = self._params(t.var_decls, f"transition {t.name!r} vars")
             fresh = self._params(t.fresh_decls, f"transition {t.name!r} fresh", fresh=True)
             clash = set(normal) & set(fresh)
@@ -1470,12 +1310,9 @@ class _Elaborator:
             inputs = self._inscription(t.inputs, scope)
             outputs = self._inscription(t.outputs, scope)
             rollbacks = self._inscription(t.rollbacks, scope)
-            for arc in t.inputs:
-                self.span_index[base + (f"input arc from {arc.place!r}",)] = arc.span
-            for arc in t.outputs:
-                self.span_index[base + (f"output arc to {arc.place!r}",)] = arc.span
-            for arc in t.rollbacks:
-                self.span_index[base + (f"rollback arc to {arc.place!r}",)] = arc.span
+            for label, arcs in (("input arc from", t.inputs), ("output arc to", t.outputs), ("rollback arc to", t.rollbacks)):
+                for arc in arcs:
+                    self.span_index[base + (f"{label} {arc.place!r}",)] = arc.span
             if t.rollbacks:
                 self.span_index[base + ("rollback arcs",)] = t.rollbacks[0].span
 
@@ -1486,15 +1323,9 @@ class _Elaborator:
             action = None
             if t.action is not None:
                 self.span_index[base + (f"action {t.action.name!r}",)] = t.action.span
-                args = []
-                bad = False
-                for term in t.action.args:
-                    resolved = self._term(term, scope)
-                    if resolved is None:
-                        bad = True
-                    args.append(resolved)
-                if not bad:
-                    action = ActionBinding(t.action.name, tuple(args))
+                args = self._terms(t.action.args, scope)
+                if args is not None:
+                    action = ActionBinding(t.action.name, args)
 
             unused = set(scope) - {
                 v.name

@@ -25,6 +25,8 @@ from .datatypes import (
     Variable,
     apply_substitution,
     fresh_value,
+    payload_from_json,
+    render_literal,
 )
 from .errors import BindingError, ConfigError, DefinitionError
 from .multiset import EMPTY, Multiset
@@ -33,6 +35,7 @@ from .persistence import (
     check_compliance,
     fact_to_text,
     validate_instance,
+    value_to_json,
 )
 from .query import answers, eval_guard
 
@@ -377,8 +380,6 @@ def enabled_firings(
 
 
 def token_text(token: Token) -> str:
-    from .datatypes import render_literal
-
     return "<" + ", ".join(render_literal(v) for v in token) + ">"
 
 
@@ -502,7 +503,6 @@ def build_lts(
     max_states: int | None = None,
     max_depth: int | None = None,
     goal: Callable[[Snapshot], bool] | None = None,
-    stop_at_goal: bool = False,
 ) -> LTS:
     """Breadth-first closure of `fire` over all enabled bindings.
 
@@ -511,9 +511,7 @@ def build_lts(
     Each state's successors are generated in a fixed order (transitions by
     name, then bindings in canonical order) and merged as they come: firing
     stops at the first successor that would exceed `max_states`. `max_depth`
-    and `stop_at_goal` take effect where a new BFS level begins; with
-    `stop_at_goal`, the level holding the first goal state is still
-    completed.
+    takes effect where a new BFS level begins.
     """
     intern = InstanceInterner()
     s0 = Snapshot(intern(s0.instance), s0.marking)
@@ -529,8 +527,6 @@ def build_lts(
         depth = lts.depths[sid]
         if depth > level:
             level = depth
-            if stop_at_goal and lts.goal_state is not None:
-                break
             if max_depth is not None and depth >= max_depth:
                 lts.truncated = True
                 lts.truncation_reason = "depth budget reached"
@@ -561,14 +557,10 @@ def build_lts(
 
 
 def value_json(value: Value) -> dict:
-    from .persistence import value_to_json
-
     return {"type": value.type_name, "value": value_to_json(value)}
 
 
 def value_from_json(data: dict) -> Value:
-    from .datatypes import payload_from_json
-
     return payload_from_json(data["value"], data["type"])
 
 

@@ -202,6 +202,16 @@ class TestExplore:
         assert main(["explore", str(scenario), "--max-states", "10"]) == 3
         assert "input domain" in capsys.readouterr().err
 
+    def test_zero_state_budget_flag_is_config_error(self, capsys):
+        assert main(["explore", RELAY, "--max-states", "0"]) == 3
+        assert "state budget must be at least 1" in capsys.readouterr().err
+
+    def test_zero_state_budget_config_is_config_error(self, tmp_path, capsys):
+        scenario = tmp_path / "zero.dbnet"
+        scenario.write_text(scenario_text("relay") + "\nconfig { max_states: 0 }\n")
+        assert main(["explore", str(scenario)]) == 3
+        assert "state budget must be at least 1" in capsys.readouterr().err
+
     def test_truncation_warns_but_exits_zero(self, tmp_path, capsys):
         code = main(["explore", TICKET, "--max-states", "50"])
         assert code == 0

@@ -48,8 +48,84 @@ class TestParse:
             dsl.parse("schema { exists(string) }")
 
     def test_parse_formula_trailing_input(self):
-        with pytest.raises(dsl.DslSyntaxError, match="trailing input"):
+        with pytest.raises(dsl.DslSyntaxError) as err:
             dsl.parse_formula("true true")
+        assert str(err.value.diagnostic) == "1:6: error: trailing input after formula"
+
+
+#: One input per parser message and per duplicate-name error, with the exact
+#: diagnostics (message and line:col) that `parse` then `elaborate` report.
+GOLDEN_DIAGNOSTICS = [
+    # lexer
+    ('schema { }\ninit { facts { R("oops) } }', ["2:18: error: unterminated string literal"]),
+    ('schema { }\ninit { facts { R("a\\q") } }', ["2:18: error: bad escape in string literal"]),
+    ("schema { R(int) }\nconstraints { c: - 1 = 1 }", ["2:18: error: stray '-'"]),
+    ("schema { R(int) }\nconstraints { c: 1 = 1 @ }", ["2:24: error: unexpected character '@'"]),
+    # sections
+    ("", ["1:1: error: missing schema section"]),
+    ("schema { }\nnets { }", ["2:1: error: expected a section header"]),
+    ("schema { }\nschema { }", ["2:1: error: duplicate section 'schema'"]),
+    ("schema R(int)", ["1:8: error: expected '{', found 'R'"]),
+    # names and types
+    ("schema { exists(string) }", ["1:10: error: 'exists' is a reserved word and cannot name a relation name"]),
+    ("schema { 1(int) }", ["1:10: error: expected relation name, found '1'"]),
+    ("types { 1 }\nschema { }", ["1:9: error: expected a type name"]),
+    ("schema { R(int }", ["1:16: error: expected a type name"]),
+    ('schema { R("int") }', ["1:12: error: expected a type name"]),
+    ("schema { }\nqueries { Q(x: 1) := true }", ["2:16: error: expected a type name"]),
+    ("schema { }\nconstraints { c: exists x: 1 . true }", ["2:28: error: expected a type name"]),
+    ("schema { }\nnet { transition t { vars { x: 1 } } }", ["2:32: error: expected a type name"]),
+    ("schema { }\nnet { place p : (1) }", ["2:18: error: expected a type name"]),
+    ("schema { }\ndomains { 1: [] }", ["2:11: error: expected a type name"]),
+    # actions
+    ("schema { R(int) }\nactions { act a() { } }", ["2:11: error: expected 'action', found 'act'"]),
+    ("schema { R(int) }\nactions { action a() { put { } } }", ["2:24: error: expected 'add' or 'del'"]),
+    ("schema { R(int) }\nactions { action a() { del { } del { } } }", ["2:32: error: duplicate 'del' block"]),
+    ("schema { R(int) }\nactions { action a() { add { } add { } } }", ["2:32: error: duplicate 'add' block"]),
+    # formulas
+    ("schema { R(int) }\nconstraints { c: R(,) }", ["2:20: error: expected a variable or a literal"]),
+    ("schema { R(int) }\nconstraints { c: x }", ["2:20: error: expected '=' or '<' after a term"]),
+    # net
+    ("schema { }\nnet { arc a }", ["2:7: error: expected 'place', 'view place', or 'transition'"]),
+    ("schema { }\nnet { transition t { 1 } }", ["2:22: error: expected a transition clause"]),
+    ("schema { }\nnet { transition t { guard true guard true } }", ["2:33: error: duplicate 'guard' clause"]),
+    ("schema { }\nnet { transition t { when true } }", ["2:22: error: unknown transition clause 'when'"]),
+    # init, domains, config
+    (
+        "schema { }\nnet { place p : (int) }\ninit { marking { p: 0 * <1> } }",
+        ["3:21: error: multiplicity must be positive"],
+    ),
+    ("schema { R(int) }\ninit { facts { } facts { } }", ["2:18: error: duplicate 'facts' block"]),
+    ("schema { }\ninit { marking { } marking { } }", ["2:20: error: duplicate 'marking' block"]),
+    ("schema { }\ninit { tokens { } }", ["2:8: error: expected 'facts' or 'marking'"]),
+    ("schema { }\ndomains { int: [x] }", ["2:11: error: input domains hold literals only"]),
+    ("schema { }\nconfig { seed: x }", ["2:16: error: expected an integer"]),
+    # duplicate names
+    ("schema { R(int) R(int) }", ["1:17: error: duplicate relation 'R'"]),
+    ("schema { }\nconstraints { c: true c: true }", ["2:23: error: duplicate constraint 'c'"]),
+    ("schema { }\nqueries { Q() := true Q() := true }", ["2:23: error: duplicate query 'Q'"]),
+    ("schema { R(int) }\nactions { action a() { } action a() { } }", ["2:33: error: duplicate action 'a'"]),
+    ("schema { }\nnet { place p : () place p : () }", ["2:26: error: duplicate place 'p'"]),
+    ("schema { }\nnet { transition t { } transition t { } }", ["2:35: error: duplicate transition 't'"]),
+    # every unresolvable term of an action template is reported
+    (
+        "schema { R(int, int) }\nactions { action a(x:int) { add { R(y, z) } } }",
+        ["2:37: error: undeclared variable 'y'", "2:40: error: undeclared variable 'z'"],
+    ),
+]
+
+
+@pytest.mark.parametrize("text,expected", GOLDEN_DIAGNOSTICS)
+def test_golden_diagnostics(text, expected):
+    try:
+        dsl.elaborate(dsl.parse(text))
+    except dsl.DslSyntaxError as exc:
+        got = [str(exc.diagnostic)]
+    except dsl.DslValidationError as exc:
+        got = [str(d) for d in exc.diagnostics]
+    else:
+        got = []
+    assert got == expected
 
 
 class TestSerialize:

@@ -512,28 +512,3 @@ class TestGoldenExploration:
         assert not s_drop.marking.tokens("busy")
         assert s_drop.marking.tokens("IdleEmps") == Multiset([(ann,), (bob,)])
         assert s_drop.marking.tokens("Tickets") == Multiset([(one, bug)])
-
-
-def test_stop_at_goal_halts_early(ticket_scenario):
-    # The early run completes the level that holds the first goal state and
-    # nothing more: it is a prefix of the full run, and exactly the states
-    # above the goal's depth are expanded.
-    net = ticket_scenario.net
-    for logs in (1, 2):
-        goal = lambda snap, logs=logs: sum(f.relation == "Log" for f in snap.instance.facts) >= logs
-        full = build_lts(net, ticket_scenario.initial, domains=ticket_scenario.domains, max_states=300, goal=goal)
-        early = build_lts(
-            net, ticket_scenario.initial, domains=ticket_scenario.domains,
-            max_states=300, goal=goal, stop_at_goal=True,
-        )
-        assert early.goal_state is not None
-        assert early.state_count < full.state_count
-        assert [n for n, _, _ in early.witness_path()] == [n for n, _, _ in full.witness_path()]
-        assert early.snapshots == full.snapshots[: early.state_count]
-        assert early.edges == full.edges[: early.edge_count]
-        goal_depth = early.depths[early.goal_state]
-        assert {e.src for e in early.edges} == {
-            sid for sid, depth in enumerate(early.depths) if depth < goal_depth
-        }
-        if logs == 2:
-            assert (early.state_count, early.edge_count) == (60, 97)
