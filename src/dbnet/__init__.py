@@ -19,7 +19,6 @@ from .datalogic import (
 )
 from .datatypes import (
     DataType,
-    FreshSource,
     Kind,
     Predicate,
     Substitution,
@@ -59,7 +58,6 @@ from .query import (
     Truth,
     answers,
     entails,
-    eval_guard,
     forall,
     free_vars,
     implies,

@@ -17,7 +17,7 @@ from .datatypes import Term, TypeDomain, Value, Variable
 from .errors import DefinitionError
 from .multiset import EMPTY, Multiset
 from .persistence import PersistenceLayer
-from .query import Guard, Truth, all_vars, validate_query
+from .query import FormulaPlan, Guard, Truth, all_vars, validate_query
 
 #: An arc inscription: a multiset of term tuples.
 Inscription = Multiset  # Multiset[tuple[Term, ...]]
@@ -171,6 +171,8 @@ class CompiledTransition:
     #: Non-fresh output-side variables bound by no input arc, sorted.
     external: tuple[Variable, ...]
     fresh: tuple[Variable, ...]  # sorted
+    #: The guard as a query over the empty instance; None when it is `Truth`.
+    guard: Optional[FormulaPlan]
     #: The bound action (None without one, or when its name is unknown)
     #: and its formal parameter -> actual term pairs.
     action: Optional[Action]
@@ -198,6 +200,7 @@ def compile_transition(net: DbNet, t: Transition) -> CompiledTransition:
         variables=t.variables(),
         external=tuple(sorted(t.external_vars() - fresh, key=var_key)),
         fresh=tuple(sorted(fresh, key=var_key)),
+        guard=None if isinstance(t.guard, Truth) else FormulaPlan(t.guard),
         action=action,
         action_args=() if action is None else tuple(zip(action.params, t.action.args)),
         arcs=tuple(

@@ -39,8 +39,9 @@ class FactTemplate:
 class Action:
     name: str
     params: tuple[Variable, ...]
-    adds: frozenset[FactTemplate]
-    dels: frozenset[FactTemplate]
+    #: In declaration order, so that problems are reported in that order.
+    adds: tuple[FactTemplate, ...]
+    dels: tuple[FactTemplate, ...]
 
     def __post_init__(self) -> None:
         if len(set(self.params)) != len(self.params):

@@ -209,39 +209,25 @@ def apply_substitution(term: Term, theta: Substitution) -> Value:
         raise BindingError(f"unbound variable {term!r}") from None
 
 
-class FreshSource:
-    """Per-type counters backing deterministic fresh-value generation."""
-
-    def __init__(self) -> None:
-        self._counters: dict[str, int] = {}
-
-    def bump(self, type_name: str) -> int:
-        k = self._counters.get(type_name, 0)
-        self._counters[type_name] = k + 1
-        return k
-
-
-def fresh_value(dtype: DataType, excluded: set[Value] | frozenset[Value], source: FreshSource) -> Value:
+def fresh_value(dtype: DataType, excluded: set[Value] | frozenset[Value]) -> Value:
     """A value of `dtype` outside `excluded`, chosen deterministically.
 
     Integers (and reals) take the successor of the largest excluded value;
-    strings take the first unused entry of the counter sequence.
+    strings take the first unused name of the sequence ν0, ν1, ….
     """
     if not dtype.is_infinite:
         raise DefinitionError(f"type {dtype.name!r} has a finite domain; cannot be fresh")
     taken = {v.payload for v in excluded if v.type_name == dtype.name}
     if dtype.kind is Kind.INT:
         payload: Payload = max((p for p in taken if isinstance(p, int)), default=-1) + 1
-        source.bump(dtype.name)
     elif dtype.kind is Kind.REAL:
         biggest = max((p for p in taken if isinstance(p, Decimal)), default=Decimal(-1))
         payload = _strip_trailing_zeros(biggest.to_integral_value(rounding="ROUND_FLOOR") + 1)
-        source.bump(dtype.name)
     else:
-        while True:
-            payload = f"ν{source.bump(dtype.name)}"
-            if payload not in taken:
-                break
+        k = 0
+        while f"ν{k}" in taken:
+            k += 1
+        payload = f"ν{k}"
     value = Value(dtype.name, payload)
     assert value not in excluded
     return value
@@ -294,27 +280,10 @@ ORDER_PREDICATES = {"int": "<_int", "real": "<_r"}
 
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
 def escape_string(s: str) -> str:
     return '"' + "".join(_ESCAPES.get(ch, ch) for ch in s) + '"'
-
-
-def unescape_string(body: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            i += 1
-            if i >= len(body) or body[i] not in _UNESCAPES:
-                raise DefinitionError(f"bad escape in string literal: {body!r}")
-            out.append(_UNESCAPES[body[i]])
-        else:
-            out.append(ch)
-        i += 1
-    return "".join(out)
 
 
 def render_literal(v: Value) -> str:

@@ -12,6 +12,7 @@ The grammar is documented in docs/dsl.md.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,7 +27,6 @@ from .datatypes import (
     builtin_catalog,
     canon_decimal,
     render_literal,
-    unescape_string,
 )
 from .errors import DbNetError
 from .multiset import Multiset
@@ -328,105 +328,62 @@ class _Tok:
     value: object = None
 
 
-_PUNCT_TWO = {"->", "<-", ":=", "><"}
-_PUNCT_ONE = set("{}()<>,;:.*=[]")
+# One alternative per token class, each with the blanks that follow it.
+# `\d` is exactly the set of digits `int()` accepts, and `\w` is
+# `str.isalnum()` plus `_`.
+_TOKEN = re.compile(
+    r"""
+      [ \t\r]+
+    | (?:
+        (?P<IDENT>[A-Za-z_]\w*)
+      | (?P<PUNCT>->|:=|><|<-(?!\d)|[{}()<>,;:.*=\[\]])
+      | (?P<NL>\n)
+      | (?P<COMMENT>\#[^\n]*)
+      | (?P<STRING>"(?:[^"\\\n]|\\.)*")
+      | (?P<REAL>-?\d+\.\d+)
+      | (?P<INT>-?\d+)
+      | (?P<WORD>\w+)  # an identifier if it starts with a letter, not a numeral like `²`
+      | (?P<BAD>.)
+      )[ \t\r]*
+    """,
+    re.VERBOSE,
+)
+_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+_BAD = {'"': "unterminated string literal", "-": "stray '-'"}
+
+
+def _lex_error(line: int, col: int, message: str) -> DslSyntaxError:
+    return DslSyntaxError(Diagnostic("error", Span(line, col, line, col + 1), message))
 
 
 def _lex(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-
-    def span(l0, c0, l1, c1):
-        return Span(l0, c0, l1, c1)
-
-    def fail(msg, l0, c0):
-        raise DslSyntaxError(Diagnostic("error", span(l0, c0, l0, c0 + 1), msg))
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, bol, end = 1, 0, 0  # `bol`: where `line` begins; `end`: where EOF sits
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        end = m.start() if kind == "COMMENT" else m.end()  # a comment adds no column
+        if kind is None or kind == "COMMENT":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        start, stop = m.span(kind)
+        if kind == "NL":
+            line, bol = line + 1, stop
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        l0, c0 = line, col
-        if ch == '"':
-            j = i + 1
-            escaped = False
-            while j < n:
-                c = text[j]
-                if c == "\n":
-                    fail("unterminated string literal", l0, c0)
-                if escaped:
-                    escaped = False
-                elif c == "\\":
-                    escaped = True
-                elif c == '"':
-                    break
-                j += 1
-            if j >= n:
-                fail("unterminated string literal", l0, c0)
-            raw = text[i + 1 : j]
+        col, lexeme, value = start - bol + 1, m.group(kind), None
+        if kind == "INT":
+            value = int(lexeme)
+        elif kind == "REAL":
+            value = canon_decimal(lexeme)
+        elif kind == "STRING":
             try:
-                value = unescape_string(raw)
-            except DbNetError:
-                fail("bad escape in string literal", l0, c0)
-            width = j + 1 - i
-            toks.append(_Tok("STRING", text[i : j + 1], span(l0, c0, l0, c0 + width), value))
-            i = j + 1
-            col += width
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            kind = "INT"
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                kind = "REAL"
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            lexeme = text[i:j]
-            value = int(lexeme) if kind == "INT" else canon_decimal(lexeme)
-            toks.append(_Tok(kind, lexeme, span(l0, c0, l0, c0 + (j - i)), value))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            lexeme = text[i:j]
-            toks.append(_Tok("IDENT", lexeme, span(l0, c0, l0, c0 + (j - i))))
-            col += j - i
-            i = j
-            continue
-        two = text[i : i + 2]
-        # '<' then a negative literal (as in <-44, x>) is not the '<-' arrow.
-        if two == "<-" and i + 2 < n and text[i + 2].isdigit():
-            two = ""
-        if two in _PUNCT_TWO:
-            toks.append(_Tok("PUNCT", two, span(l0, c0, l0, c0 + 2)))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT_ONE or ch == "-":
-            if ch == "-":
-                fail("stray '-'", l0, c0)
-            toks.append(_Tok("PUNCT", ch, span(l0, c0, l0, c0 + 1)))
-            i += 1
-            col += 1
-            continue
-        fail(f"unexpected character {ch!r}", l0, c0)
+                value = re.sub(r"\\(.)", lambda e: _UNESCAPES[e[1]], lexeme[1:-1])
+            except KeyError:
+                raise _lex_error(line, col, "bad escape in string literal") from None
+        elif kind == "WORD" and lexeme[0].isalpha():
+            kind = "IDENT"
+        elif kind == "WORD" or kind == "BAD":
+            raise _lex_error(line, col, _BAD.get(lexeme[0], f"unexpected character {lexeme[0]!r}"))
+        toks.append(_Tok(kind, lexeme, Span(line, col, line, col + stop - start), value))
+    col = end - bol + 1
     toks.append(_Tok("EOF", "", Span(line, col, line, col)))
     return toks
 
@@ -1263,8 +1220,8 @@ class _Elaborator:
                 Action(
                     a.name,
                     tuple(scope[p.name] for p in a.params),
-                    frozenset(adds),
-                    frozenset(dels),
+                    tuple(dict.fromkeys(adds)),
+                    tuple(dict.fromkeys(dels)),
                 )
             )
         return out

@@ -7,7 +7,8 @@ conjunction, existential); disjunction, implication, and universal
 quantification are provided as expansion helpers.
 
 Every formula is compiled once into a plan, and the plan is the only
-evaluator behind `entails`, `answers` and `persistence.check_compliance`.
+evaluator behind `entails`, `answers`, `persistence.check_compliance` and
+transition guards (queries over the empty instance).
 Compiling strips double negations and flattens conjunctions. Then each
 `Exists x`, and each parameter of a named query, gets a *generator*: a
 positive relation atom that mentions `x` and that every model of the body
@@ -541,34 +542,6 @@ def answers(
     if cached is not None:
         return cached
     return instance.store_answers(named.cache_token, named.plan.answers(instance, types))
-
-
-def _ground(args: tuple[Term, ...], env: Substitution) -> tuple[Value, ...]:
-    out = []
-    for arg in args:
-        if isinstance(arg, Variable):
-            try:
-                arg = env[arg]
-            except KeyError:
-                raise BindingError(f"unbound variable {arg!r} during evaluation") from None
-        out.append(arg)
-    return tuple(out)
-
-
-def eval_guard(guard: Guard, theta: Substitution, *, types: TypeDomain | None = None) -> bool:
-    """Evaluate the quantifier- and relation-free fragment; no database."""
-    types = types or _CATALOG
-    if isinstance(guard, Truth):
-        return True
-    if isinstance(guard, PredicateAtom):
-        return types.eval_predicate(guard.pred, _ground(guard.args, theta))
-    if isinstance(guard, Not):
-        return not eval_guard(guard.body, theta, types=types)
-    if isinstance(guard, And):
-        return eval_guard(guard.left, theta, types=types) and eval_guard(
-            guard.right, theta, types=types
-        )
-    raise DefinitionError(f"node {type(guard).__name__} is not allowed in a guard")
 
 
 _CATALOG = builtin_catalog()

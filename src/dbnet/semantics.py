@@ -18,7 +18,6 @@ from typing import Callable, Mapping, Optional, Sequence
 from .control import DbNet, Inscription, Transition, token_key
 from .datalogic import ActionInstance, apply_raw, instantiate
 from .datatypes import (
-    FreshSource,
     Substitution,
     Term,
     Value,
@@ -37,12 +36,15 @@ from .persistence import (
     validate_instance,
     value_to_json,
 )
-from .query import answers, eval_guard
+from .query import answers
 
 Token = tuple[Value, ...]
 
 #: Values offered for external ("arbitrary input") variables, per type name.
 InputDomains = Mapping[str, Sequence[Value]]
+
+#: What guards are evaluated over: they mention no relation.
+_NO_FACTS = DatabaseInstance()
 
 
 class Marking:
@@ -184,7 +186,7 @@ def is_enabled(net: DbNet, snap: Snapshot, t: Transition, sigma: Substitution) -
     for place_name, inscription in t.inputs.items():
         if not snap.marking.tokens(place_name).includes(inscription_binding(inscription, sigma)):
             return False
-    if not eval_guard(t.guard, sigma, types=net.types):
+    if compiled.guard is not None and not compiled.guard.holds(_NO_FACTS, sigma, net.types):
         return False
     fresh = compiled.fresh
     chosen = [sigma[v] for v in fresh]
@@ -289,10 +291,10 @@ def enumerate_bindings(
     backtrack(0)
 
     out: list[Substitution] = []
-    external, fresh = compiled.external, compiled.fresh
+    external, fresh, guard = compiled.external, compiled.fresh, compiled.guard
     pools: list[Sequence[Value]] | None = None
     for base in matched:
-        if not eval_guard(t.guard, base, types=net.types):
+        if guard is not None and not guard.holds(_NO_FACTS, base, net.types):
             continue
         if pools is None:
             pools = []
@@ -311,10 +313,9 @@ def enumerate_bindings(
         for combo in itertools.product(*pools):
             full = dict(base)
             full.update(zip(external, combo))
-            source = FreshSource()
             excluded: set[Value] = set()
             for v, dt, pre in fresh_pre:
-                full[v] = fresh_value(dt, pre | excluded, source)
+                full[v] = fresh_value(dt, pre | excluded)
                 excluded.add(full[v])
             out.append(full)
     return out

@@ -180,7 +180,7 @@ def random_action(rng: random.Random, schema: DatabaseSchema, *, force_overlap: 
         shared = template()
         adds.add(shared)
         dels.add(shared)
-    action = Action(f"act{rng.randrange(10**6)}", tuple(params), frozenset(adds), frozenset(dels))
+    action = Action(f"act{rng.randrange(10**6)}", tuple(params), tuple(adds), tuple(dels))
     theta = {p: rng.choice(POOLS[p.type_name]) for p in params}
     return action, theta
 

@@ -46,6 +46,36 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_numeral_that_is_not_a_digit_exits_one(self, tmp_path):
+        # `str.isdigit` accepts `²`, `int()` does not.
+        bad = tmp_path / "sup.dbnet"
+        bad.write_text("schema { R(int) }\ninit { facts { R(²) } }\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dbnet", "validate", str(bad)],
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+        )
+        assert proc.returncode == 1
+        assert "2:18: error: unexpected character '²'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_diagnostics_keep_declaration_order_across_hash_seeds(self, tmp_path):
+        bad = tmp_path / "reg.dbnet"
+        bad.write_text(scenario_text("ticket").replace("action reg(t:int", "action reg(t:string"))
+        errs = []
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "dbnet", "validate", str(bad)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 1
+            errs.append(proc.stderr)
+        assert errs[0] == errs[1]
+        assert errs[0].index("add Ticket") < errs[0].index("add Resp")
+
 
 class TestSimulate:
     def test_seeded_run_writes_trace_and_final_db(self, tmp_path):

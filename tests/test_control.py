@@ -110,7 +110,7 @@ def ticket_like_net(**overrides):
     logic = DataLogicLayer(
         queries=[idle],
         actions=[
-            Action("assign", (E, T), frozenset({FactTemplate("Resp", (E, T))}), frozenset())
+            Action("assign", (E, T), (FactTemplate("Resp", (E, T)),), ())
         ],
     )
     places = overrides.get(

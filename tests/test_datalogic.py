@@ -36,18 +36,18 @@ T = Variable("t", "int")
 D = Variable("d", "string")
 
 RELEASE = Action(
-    "release", (E, T), adds=frozenset(), dels=frozenset({FactTemplate("Resp", (E, T))})
+    "release", (E, T), adds=(), dels=(FactTemplate("Resp", (E, T)),)
 )
 LOG = Action(
     "log",
     (T, E, D),
-    adds=frozenset({FactTemplate("Log", (T, E, D))}),
-    dels=frozenset({FactTemplate("Ticket", (T, D)), FactTemplate("Resp", (E, T))}),
+    adds=(FactTemplate("Log", (T, E, D)),),
+    dels=(FactTemplate("Ticket", (T, D)), FactTemplate("Resp", (E, T))),
 )
 ASSIGN = Action(
-    "assign", (E, T), adds=frozenset({FactTemplate("Resp", (E, T))}), dels=frozenset()
+    "assign", (E, T), adds=(FactTemplate("Resp", (E, T)),), dels=()
 )
-NOOP = Action("noop", (), adds=frozenset(), dels=frozenset())
+NOOP = Action("noop", (), adds=(), dels=())
 
 
 def schema():
@@ -114,14 +114,14 @@ class TestInstantiate:
 
     def test_duplicate_params_rejected(self):
         with pytest.raises(DefinitionError):
-            Action("dup", (E, E), frozenset(), frozenset())
+            Action("dup", (E, E), (), ())
 
 
 class TestApplyRaw:
     def test_addition_wins_over_deletion(self):
         x = Variable("x", "int")
         tpl = FactTemplate("Ticket", (x, string_value("d")))
-        act = Action("both", (x,), adds=frozenset({tpl}), dels=frozenset({tpl}))
+        act = Action("both", (x,), adds=(tpl,), dels=(tpl,))
         inst = instantiate(act, {x: int_value(1)})
         db = DatabaseInstance([ticket(1, "d")])
         assert apply_raw(inst, db) == db
@@ -197,4 +197,4 @@ class TestApplyTransactional:
 class TestLayer:
     def test_duplicate_action_names(self):
         with pytest.raises(DefinitionError):
-            DataLogicLayer(actions=[NOOP, Action("noop", (), frozenset(), frozenset())])
+            DataLogicLayer(actions=[NOOP, Action("noop", (), (), ())])

@@ -5,7 +5,6 @@ import pytest
 
 from dbnet import dsl
 from dbnet.datatypes import (
-    FreshSource,
     Value,
     Variable,
     apply_substitution,
@@ -98,30 +97,29 @@ class TestSubstitution:
 class TestFreshValue:
     def test_int_max_plus_one(self, catalog):
         excluded = {int_value(1), int_value(2), int_value(5)}
-        got = fresh_value(catalog.type("int"), excluded, FreshSource())
+        got = fresh_value(catalog.type("int"), excluded)
         assert got == int_value(6)
 
     def test_int_empty_exclusions(self, catalog):
-        assert fresh_value(catalog.type("int"), set(), FreshSource()) == int_value(0)
+        assert fresh_value(catalog.type("int"), set()) == int_value(0)
 
     def test_string_counter_with_skip(self, catalog):
-        src = FreshSource()
-        got = fresh_value(catalog.type("string"), {string_value("ann")}, src)
+        got = fresh_value(catalog.type("string"), {string_value("ann")})
         assert got == string_value("ν0")
-        colliding = {string_value("ν1")}
-        assert fresh_value(catalog.type("string"), colliding, src) == string_value("ν2")
+        colliding = {got, string_value("ν1")}
+        assert fresh_value(catalog.type("string"), colliding) == string_value("ν2")
 
     def test_bool_rejected(self, catalog):
         with pytest.raises(DefinitionError):
-            fresh_value(catalog.type("bool"), set(), FreshSource())
+            fresh_value(catalog.type("bool"), set())
 
     def test_deterministic_for_fixed_state(self, catalog):
         excluded = {int_value(3), int_value(9)}
-        outs = {fresh_value(catalog.type("int"), excluded, FreshSource()) for _ in range(5)}
+        outs = {fresh_value(catalog.type("int"), excluded) for _ in range(5)}
         assert outs == {int_value(10)}
 
     def test_soundness_randomized(self, catalog):
-        # Spec-level property: 10,000 randomized (excluded, counter) trials.
+        # Spec-level property: 10,000 randomized exclusion sets.
         rng = random.Random(1)
         string_type = catalog.type("string")
         int_type = catalog.type("int")
@@ -135,10 +133,7 @@ class TestFreshValue:
                     for _ in range(rng.randint(0, 4))
                 }
                 dtype = string_type
-            src = FreshSource()
-            for _ in range(rng.randint(0, 3)):
-                src.bump(dtype.name)
-            got = fresh_value(dtype, excluded, src)
+            got = fresh_value(dtype, excluded)
             assert got not in excluded
             assert dtype.contains(got.payload)
 

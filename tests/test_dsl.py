@@ -1,6 +1,9 @@
 import random
+import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dbnet import dsl
 from dbnet.datatypes import string_value
@@ -51,6 +54,20 @@ class TestParse:
         with pytest.raises(dsl.DslSyntaxError) as err:
             dsl.parse_formula("true true")
         assert str(err.value.diagnostic) == "1:6: error: trailing input after formula"
+
+
+TICKET_TEXT = scenario_text("ticket")
+
+
+@given(
+    st.integers(0, len(TICKET_TEXT)),
+    st.text(string.punctuation + '²½Ⅻ١é\f"\\', min_size=1),
+)
+def test_parse_fails_only_with_a_syntax_error(offset, inserted):
+    try:
+        dsl.parse(TICKET_TEXT[:offset] + inserted + TICKET_TEXT[offset:])
+    except dsl.DslSyntaxError:
+        pass
 
 
 #: One input per parser message and per duplicate-name error, with the exact
@@ -112,6 +129,10 @@ GOLDEN_DIAGNOSTICS = [
         "schema { R(int, int) }\nactions { action a(x:int) { add { R(y, z) } } }",
         ["2:37: error: undeclared variable 'y'", "2:40: error: undeclared variable 'z'"],
     ),
+    # lexer: numerals that `str.isdigit` accepts but `int()` does not
+    ("schema { R(int) }\ninit { facts { R(²) } }", ["2:18: error: unexpected character '²'"]),
+    ("schema { R(int) }\ninit { facts { R(-²) } }", ["2:18: error: stray '-'"]),
+    ("schema { R(real) }\ninit { facts { R(1.²) } }", ["2:20: error: unexpected character '²'"]),
 ]
 
 
@@ -206,6 +227,17 @@ class TestElaborationDiagnostics:
         with pytest.raises(dsl.DslValidationError) as err:
             dsl.elaborate(dsl.parse(text))
         assert any("relation atom" in d.message for d in err.value.diagnostics)
+
+    def test_guard_with_quantifier(self):
+        text = (
+            "schema { }\n"
+            "net { place p : (int)\n"
+            "  transition t { vars { x: int } in { p -> <x> } guard exists y:int . y = x out { p -> <x> } }\n"
+            "}"
+        )
+        with pytest.raises(dsl.DslValidationError) as err:
+            dsl.elaborate(dsl.parse(text))
+        assert any("quantifier not allowed here" in d.message for d in err.value.diagnostics)
 
     def test_query_params_must_match_free_vars(self):
         text = "schema { R(int) }\nqueries { Q(x:int, y:int) := R(x) }"

@@ -209,7 +209,7 @@ class TestCustomTypeDomain:
 
         e = Variable("e", "string")
         types = self.types()
-        leave = Action("leave", (e,), frozenset(), frozenset({FactTemplate("Emp", (e,))}))
+        leave = Action("leave", (e,), (), (FactTemplate("Emp", (e,)),))
         net = DbNet(
             types,
             # No type domain given: the net rebinds the layer to its own.

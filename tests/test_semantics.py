@@ -1,10 +1,13 @@
+import dataclasses
+
 import pytest
 
+from dbnet import dsl
 from dbnet.datatypes import Variable, int_value, string_value
 from dbnet.errors import BindingError, ConfigError, DefinitionError
 from dbnet.multiset import Multiset
 from dbnet.persistence import DatabaseInstance, Fact, check_compliance
-from dbnet.query import answers
+from dbnet.query import Truth, answers
 from dbnet.semantics import (
     InstanceInterner,
     align_view_places,
@@ -20,6 +23,8 @@ from dbnet.semantics import (
     snapshot_digest,
     state_key,
 )
+
+from oracles import satisfies
 
 
 def emp(name):
@@ -206,6 +211,24 @@ class TestEnumerateBindings:
             for sigma in enumerate_bindings(net, s0, t, ticket_scenario.domains):
                 assert is_enabled(net, s0, t, sigma)
 
+    def test_guard_filters_bindings(self):
+        scenario = dsl.elaborate(dsl.parse(
+            "schema { }\n"
+            "net { place p : (int >< int)\n"
+            "  transition t { vars { x: int, y: int } in { p -> <x, y> } guard not x = y out { p -> <x, y> } }\n"
+            "}\n"
+            "init { marking { p: <1, 1>, <1, 2> } }\n"
+        ))
+        net, s0 = scenario.net, scenario.initial
+        t = by_name(net, "t")
+        unguarded = enumerate_bindings(net, s0, dataclasses.replace(t, guard=Truth()))
+        got = enumerate_bindings(net, s0, t)
+        assert len(unguarded) == 2
+        assert got == [s for s in unguarded if satisfies(DatabaseInstance(), s, t.guard)]
+        (rejected,) = [s for s in unguarded if s not in got]
+        assert not is_enabled(net, s0, t, rejected)
+        assert is_enabled(net, s0, t, got[0])
+
     def test_join_across_view_and_control(self, ticket_scenario):
         # close joins busy tokens with the Tickets view on t.
         net, s0 = ticket_scenario.net, ticket_scenario.initial
@@ -233,7 +256,7 @@ class TestInducedActionInstance:
         p1 = Variable("p1", "string")
         p2 = Variable("p2", "int")
         action = Action(
-            "mark", (p1, p2), frozenset({FactTemplate("R", (p1, p2))}), frozenset()
+            "mark", (p1, p2), (FactTemplate("R", (p1, p2)),), ()
         )
         net = DbNet(
             catalog,
