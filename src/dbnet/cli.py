@@ -27,6 +27,7 @@ from .semantics import (
     binding_to_json,
     build_lts,
     enabled_firings,
+    external_pools,
     fire,
     firing_record,
     snapshot_digest,
@@ -38,6 +39,10 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_CONFIG = 3
 EXIT_BROKEN_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
+
+#: The state budget of `explore` when neither `--max-states` nor the
+#: scenario's config gives one: fresh values can make a state space infinite.
+DEFAULT_MAX_STATES = 100_000
 
 
 def _use_color(stream) -> bool:
@@ -254,12 +259,14 @@ def cmd_explore(args) -> int:
     scenario = _load(args.file)
 
     net = scenario.net
-    max_states = args.max_states if args.max_states is not None else scenario.config.get("max_states")
+    max_states = args.max_states if args.max_states is not None else scenario.config.get("max_states", DEFAULT_MAX_STATES)
     try:
-        if max_states is not None and max_states < 1:
+        if max_states < 1:
             # The initial state is always stored, so no smaller budget holds.
             raise ConfigError(f"state budget must be at least 1, got {max_states}")
-        _check_exhaustive_domains(scenario)
+        # Exhaustive exploration needs every input domain: fail before the run.
+        for t in net.transitions.values():
+            external_pools(net.compiled(t), scenario.domains)
         query, conditions = _parse_goal(scenario, args.goal, args.goal_marking or [])
     except (ConfigError, dsl.DslValidationError, dsl.DslSyntaxError) as exc:
         _emit(f"config error: {exc}")
@@ -324,18 +331,6 @@ def cmd_explore(args) -> int:
     if lts.truncated:
         _emit(f"warning: exploration truncated: {lts.truncation_reason}", "warning")
     return EXIT_OK
-
-
-def _check_exhaustive_domains(scenario: dsl.Scenario) -> None:
-    """Exhaustive exploration needs an input domain for every external
-    normal variable; fail early with a config error instead of mid-run."""
-    for t in scenario.net.transitions.values():
-        for v in scenario.net.compiled(t).external:
-            if v.type_name not in scenario.domains:
-                raise ConfigError(
-                    f"transition {t.name!r}: external variable {v.name!r} needs an "
-                    f"input domain for type {v.type_name!r}"
-                )
 
 
 # --- entry point ---------------------------------------------------------------

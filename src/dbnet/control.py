@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Literal, Optional
 
 from .datalogic import Action, DataLogicLayer, validate_action
-from .datatypes import Term, TypeDomain, Value, Variable
+from .datatypes import Term, TypeDomain, Value, Variable, by_name
 from .errors import DefinitionError
 from .multiset import EMPTY, Multiset
 from .persistence import PersistenceLayer
@@ -119,16 +119,8 @@ class DbNet:
             persistence = PersistenceLayer(persistence.schema, persistence.constraints, types)
         self.persistence = persistence
         self.logic = logic
-        self.places: dict[str, Place] = {}
-        self.transitions: dict[str, Transition] = {}
-        for p in places:
-            if p.name in self.places:
-                raise DefinitionError(f"duplicate place name {p.name!r}")
-            self.places[p.name] = p
-        for t in transitions:
-            if t.name in self.transitions:
-                raise DefinitionError(f"duplicate transition name {t.name!r}")
-            self.transitions[t.name] = t
+        self.places: dict[str, Place] = by_name(places, "place")
+        self.transitions: dict[str, Transition] = by_name(transitions, "transition")
         self._control_places = tuple(p for p in self.places.values() if p.kind == "control")
         self._view_places = tuple(p for p in self.places.values() if p.kind == "view")
         self._sorted_transitions = tuple(self.transitions[name] for name in sorted(self.transitions))
@@ -303,34 +295,19 @@ def validate_net(net: DbNet) -> list[NetDiagnostic]:
     return diags
 
 
-def _check_inscription_tuple(
-    net: DbNet,
-    place: Place,
-    tup: tuple[Term, ...],
-    path: tuple[str, ...],
-    error,
-    *,
-    allow_fresh: bool,
+def _check_terms(
+    net: DbNet, terms: tuple[Term, ...], type_names: tuple[str, ...], path, error, *, input_arc=False
 ) -> None:
-    if len(tup) != len(place.color):
-        error(path, f"tuple has {len(tup)} components, color of {place.name!r} has {len(place.color)}")
-        return
-    for i, (term, col) in enumerate(zip(tup, place.color)):
-        if isinstance(term, Variable):
-            if term.fresh and not allow_fresh:
+    """Report a control-layer term tuple's fresh variables that sit on an
+    input arc or have a finite type, then its signature problems."""
+    for term in terms:
+        if isinstance(term, Variable) and term.fresh:
+            if input_arc:
                 error(path, f"fresh variable {term.name!r} not allowed on an input arc")
-            if term.fresh and term.type_name in net.types and not net.types.type(term.type_name).is_infinite:
+            if term.type_name in net.types and not net.types.type(term.type_name).is_infinite:
                 error(path, f"fresh variable {term.name!r} has a finite type")
-            if term.type_name != col:
-                error(path, f"component {i + 1} is {term.type_name!r}, color says {col!r}")
-        else:
-            if term.type_name != col:
-                error(path, f"component {i + 1} is {term.type_name!r}, color says {col!r}")
-            else:
-                try:
-                    net.types.check_value(term)
-                except DefinitionError as exc:
-                    error(path, str(exc))
+    for problem in net.types.mismatches(terms, type_names):
+        error(path, problem)
 
 
 def _validate_transition(net: DbNet, t: Transition, error, warning) -> None:
@@ -343,7 +320,7 @@ def _validate_transition(net: DbNet, t: Transition, error, warning) -> None:
             continue
         place = net.places[place_name]
         for tup, mult in inscription.items():
-            _check_inscription_tuple(net, place, tup, path, error, allow_fresh=False)
+            _check_terms(net, tup, place.color, path, error, input_arc=True)
             if place.kind == "view" and mult > 1:
                 warning(
                     path,
@@ -362,7 +339,7 @@ def _validate_transition(net: DbNet, t: Transition, error, warning) -> None:
                 error(path, "output and rollback arcs may target control places only")
                 continue
             for tup, _ in inscription.items():
-                _check_inscription_tuple(net, place, tup, path, error, allow_fresh=True)
+                _check_terms(net, tup, place.color, path, error)
 
     if t.rollbacks and t.action is None:
         error(
@@ -386,27 +363,5 @@ def _validate_transition(net: DbNet, t: Transition, error, warning) -> None:
         if t.action.action_name not in net.logic.actions:
             error(path, "unknown action")
         else:
-            action = net.logic.actions[t.action.action_name]
-            if len(t.action.args) != len(action.params):
-                error(
-                    path,
-                    f"binding has {len(t.action.args)} components, the action "
-                    f"takes {len(action.params)} parameters",
-                )
-            else:
-                for i, (term, param) in enumerate(zip(t.action.args, action.params)):
-                    if isinstance(term, Variable):
-                        if term.type_name != param.type_name:
-                            error(
-                                path,
-                                f"component {i + 1} is {term.type_name!r}, parameter "
-                                f"{param.name!r} is {param.type_name!r}",
-                            )
-                        if term.fresh and term.type_name in net.types and not net.types.type(term.type_name).is_infinite:
-                            error(path, f"fresh variable {term.name!r} has a finite type")
-                    elif term.type_name != param.type_name:
-                        error(
-                            path,
-                            f"component {i + 1} is {term.type_name!r}, parameter "
-                            f"{param.name!r} is {param.type_name!r}",
-                        )
+            params = net.logic.actions[t.action.action_name].params
+            _check_terms(net, t.action.args, tuple(p.type_name for p in params), path, error)

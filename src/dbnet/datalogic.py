@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .datatypes import Term, TypeDomain, Value, Variable, apply_substitution, Substitution
+from .datatypes import Term, TypeDomain, Value, Variable, apply_substitution, by_name, Substitution
 from .errors import DefinitionError
 from .persistence import (
     DatabaseInstance,
@@ -51,34 +51,19 @@ class Action:
 def validate_action(action: Action, schema: DatabaseSchema, types: TypeDomain) -> list[str]:
     """Well-typedness diagnostics for both template sets."""
     problems: list[str] = []
-    declared = set(action.params)
     for label, templates in (("add", action.adds), ("del", action.dels)):
         for tpl in templates:
             where = f"action {action.name!r}, {label} {tpl.relation}"
             if tpl.relation not in schema:
                 problems.append(f"{where}: unknown relation")
                 continue
-            rel = schema.relation(tpl.relation)
-            if len(tpl.args) != rel.arity:
-                problems.append(f"{where}: arity mismatch")
-                continue
-            for i, (arg, col) in enumerate(zip(tpl.args, rel.column_types)):
-                if isinstance(arg, Variable):
-                    if arg not in declared:
-                        problems.append(f"{where}: {arg.name!r} is not a parameter")
-                    elif arg.type_name != col:
-                        problems.append(
-                            f"{where}: component {i + 1} is {arg.type_name!r}, column is {col!r}"
-                        )
-                elif arg.type_name != col:
-                    problems.append(
-                        f"{where}: component {i + 1} is {arg.type_name!r}, column is {col!r}"
-                    )
-                else:
-                    try:
-                        types.check_value(arg)
-                    except DefinitionError as exc:
-                        problems.append(f"{where}: {exc}")
+            found = [
+                f"{arg.name!r} is not a parameter"
+                for arg in tpl.args
+                if isinstance(arg, Variable) and arg not in action.params
+            ]
+            found += types.mismatches(tpl.args, schema.relation(tpl.relation).column_types)
+            problems.extend(f"{where}: {problem}" for problem in found)
     return problems
 
 
@@ -141,13 +126,5 @@ class DataLogicLayer:
     """The query/action interface exposed to the control layer."""
 
     def __init__(self, queries: Iterable[NamedQuery] = (), actions: Iterable[Action] = ()):
-        self.queries: dict[str, NamedQuery] = {}
-        self.actions: dict[str, Action] = {}
-        for q in queries:
-            if q.name in self.queries:
-                raise DefinitionError(f"duplicate query name {q.name!r}")
-            self.queries[q.name] = q
-        for a in actions:
-            if a.name in self.actions:
-                raise DefinitionError(f"duplicate action name {a.name!r}")
-            self.actions[a.name] = a
+        self.queries: dict[str, NamedQuery] = by_name(queries, "query")
+        self.actions: dict[str, Action] = by_name(actions, "action")

@@ -12,7 +12,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 from .errors import BindingError, DefinitionError
 
@@ -103,6 +103,9 @@ Term = Union[Value, Variable]
 #: A (partial) well-typed mapping from variables to values.
 Substitution = dict[Variable, Value]
 
+#: Anything with a `.name` (a type, relation, action, place, ...).
+Named = TypeVar("Named")
+
 
 def canon_decimal(text: str) -> Decimal:
     """Parse a plain decimal literal into its canonical exact form."""
@@ -134,27 +137,35 @@ def format_decimal(d: Decimal) -> str:
     return text
 
 
+def by_name(items: Iterable[Named], noun: str) -> dict[str, Named]:
+    """Key `items` by their `.name`, refusing a name given twice."""
+    out: dict[str, Named] = {}
+    for item in items:
+        if item.name in out:
+            raise DefinitionError(f"duplicate {noun} name {item.name!r}")
+        out[item.name] = item
+    return out
+
+
 class TypeDomain:
     """A finite set of data types with disjoint domains and predicates."""
 
     def __init__(self, types: Iterable[DataType]):
-        self.types: dict[str, DataType] = {}
+        self.types: dict[str, DataType] = by_name(types, "type")
         self._predicate_owner: dict[str, DataType] = {}
-        for dt in types:
-            if dt.name in self.types:
-                raise DefinitionError(f"duplicate type name {dt.name!r}")
-            kinds = {t.kind for t in self.types.values()}
+        kinds: set[Kind] = set()
+        for dt in self.types.values():
             if dt.kind in kinds:
                 # Same kind means the same Python payload domain, which would
                 # break pairwise disjointness of value domains.
                 raise DefinitionError(
                     f"type {dt.name!r} overlaps an existing {dt.kind.value} domain"
                 )
+            kinds.add(dt.kind)
             for pred in dt.predicates.values():
                 if pred.name in self._predicate_owner:
                     raise DefinitionError(f"duplicate predicate name {pred.name!r}")
                 self._predicate_owner[pred.name] = dt
-            self.types[dt.name] = dt
 
     def __contains__(self, type_name: str) -> bool:
         return type_name in self.types
@@ -178,6 +189,23 @@ class TypeDomain:
                 f"payload {value.payload!r} is not in the domain of type {dt.name!r}"
             )
         return value
+
+    def mismatches(self, terms: Sequence[Term], type_names: Sequence[str]) -> list[str]:
+        """Why `terms` do not fit the column types `type_names`: a count
+        mismatch, or per component a type mismatch or a value outside its
+        type's domain. Variables are checked by type only."""
+        if len(terms) != len(type_names):
+            return [f"expected {len(type_names)} components, got {len(terms)}"]
+        problems = []
+        for i, (term, type_name) in enumerate(zip(terms, type_names), 1):
+            if term.type_name != type_name:
+                problems.append(f"component {i} is {term.type_name!r}, expected {type_name!r}")
+            elif isinstance(term, Value):
+                try:
+                    self.check_value(term)
+                except DefinitionError as exc:
+                    problems.append(str(exc))
+        return problems
 
     def owner_of_payload(self, payload: Payload) -> list[DataType]:
         """All types whose domain contains the payload (disjointness probe)."""

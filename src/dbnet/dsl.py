@@ -369,8 +369,12 @@ def _lex(text: str) -> list[_Tok]:
             line, bol = line + 1, stop
             continue
         col, lexeme, value = start - bol + 1, m.group(kind), None
+        span = Span(line, col, line, col + stop - start)
         if kind == "INT":
-            value = int(lexeme)
+            try:
+                value = int(lexeme)
+            except ValueError:  # more digits than `int()` converts
+                raise DslSyntaxError(Diagnostic("error", span, "integer literal too long")) from None
         elif kind == "REAL":
             value = canon_decimal(lexeme)
         elif kind == "STRING":
@@ -382,7 +386,7 @@ def _lex(text: str) -> list[_Tok]:
             kind = "IDENT"
         elif kind == "WORD" or kind == "BAD":
             raise _lex_error(line, col, _BAD.get(lexeme[0], f"unexpected character {lexeme[0]!r}"))
-        toks.append(_Tok(kind, lexeme, Span(line, col, line, col + stop - start), value))
+        toks.append(_Tok(kind, lexeme, span, value))
     col = end - bol + 1
     toks.append(_Tok("EOF", "", Span(line, col, line, col)))
     return toks
@@ -1284,22 +1288,13 @@ class _Elaborator:
                 if args is not None:
                     action = ActionBinding(t.action.name, args)
 
-            unused = set(scope) - {
-                v.name
-                for insc in (*inputs.values(), *outputs.values(), *rollbacks.values())
-                for tup in insc.distinct()
-                for v in tup
-                if isinstance(v, Variable)
-            } - {v.name for v in (action.args if action else ()) if isinstance(v, Variable)}
-            unused -= {v.name for v in all_vars(guard)}
-            for name in sorted(unused):
+            transition = Transition(t.name, inputs, outputs, rollbacks, guard, action)
+            used = {v.name for v in (*transition.variables(), *all_vars(guard))}
+            for name in sorted(set(scope) - used):
                 self.warnings.append(
                     Diagnostic("warning", t.span, f"variable {name!r} is declared but never used")
                 )
-
-            out.append(
-                Transition(t.name, inputs, outputs, rollbacks, guard, action)
-            )
+            out.append(transition)
         return out
 
     def _initial(self, net: DbNet) -> Snapshot:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from .datatypes import TypeDomain, Value, format_decimal, fresh_cache_token, render_literal
+from .datatypes import TypeDomain, Value, by_name, format_decimal, fresh_cache_token, render_literal
 from .errors import DefinitionError
 
 if TYPE_CHECKING:
@@ -37,11 +37,7 @@ class DatabaseSchema:
     """A finite set of relation schemas with pairwise distinct names."""
 
     def __init__(self, relations: Iterable[RelationSchema]):
-        self.relations: dict[str, RelationSchema] = {}
-        for rel in relations:
-            if rel.name in self.relations:
-                raise DefinitionError(f"duplicate relation name {rel.name!r}")
-            self.relations[rel.name] = rel
+        self.relations: dict[str, RelationSchema] = by_name(relations, "relation")
 
     def __contains__(self, name: str) -> bool:
         return name in self.relations
@@ -68,17 +64,9 @@ class Fact:
 
 
 def check_fact(schema: DatabaseSchema, types: TypeDomain, fact: Fact) -> Fact:
-    rel = schema.relation(fact.relation)
-    if len(fact.args) != rel.arity:
-        raise DefinitionError(
-            f"fact {fact!r} has {len(fact.args)} components, {fact.relation!r} has arity {rel.arity}"
-        )
-    for value, col_type in zip(fact.args, rel.column_types):
-        if value.type_name != col_type:
-            raise DefinitionError(
-                f"fact {fact!r}: component {value.payload!r} is {value.type_name!r}, column is {col_type!r}"
-            )
-        types.check_value(value)
+    problems = types.mismatches(fact.args, schema.relation(fact.relation).column_types)
+    if problems:
+        raise DefinitionError(f"fact {fact!r}: {problems[0]}")
     return fact
 
 
@@ -197,11 +185,8 @@ class PersistenceLayer:
         self.types = types
         self.constraints: tuple[Constraint, ...] = tuple(constraints)
         self.cache_token = fresh_cache_token()
-        seen: set[str] = set()
+        by_name(self.constraints, "constraint")
         for c in self.constraints:
-            if c.name in seen:
-                raise DefinitionError(f"duplicate constraint name {c.name!r}")
-            seen.add(c.name)
             if free_vars(c.query):
                 raise DefinitionError(f"constraint {c.name!r} is not a boolean query")
 

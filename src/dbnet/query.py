@@ -154,27 +154,13 @@ def validate_query(
     problems: list[str] = []
 
     def check_args(args: tuple[Term, ...], expected: tuple[str, ...], where: str) -> None:
-        if len(args) != len(expected):
-            problems.append(f"{where}: expected {len(expected)} arguments, got {len(args)}")
-            return
-        for i, (arg, type_name) in enumerate(zip(args, expected)):
-            if isinstance(arg, Variable):
-                if arg.fresh:
-                    problems.append(f"{where}: fresh variable {arg.name!r} not allowed in a query")
-                if arg.type_name != type_name:
-                    problems.append(
-                        f"{where}: argument {i + 1} is {arg.type_name!r}, expected {type_name!r}"
-                    )
-            else:
-                if arg.type_name != type_name:
-                    problems.append(
-                        f"{where}: argument {i + 1} is {arg.type_name!r}, expected {type_name!r}"
-                    )
-                else:
-                    try:
-                        types.check_value(arg)
-                    except DefinitionError as exc:
-                        problems.append(f"{where}: {exc}")
+        found = [
+            f"fresh variable {arg.name!r} not allowed in a query"
+            for arg in args
+            if isinstance(arg, Variable) and arg.fresh
+        ]
+        found += types.mismatches(args, expected)
+        problems.extend(f"{where}: {problem}" for problem in found)
 
     def walk(q: Query) -> None:
         if isinstance(q, Truth):

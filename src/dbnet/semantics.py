@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
-from .control import DbNet, Inscription, Transition, token_key
+from .control import CompiledTransition, DbNet, Inscription, Transition, token_key
 from .datalogic import ActionInstance, apply_raw, instantiate
 from .datatypes import (
     Substitution,
@@ -109,20 +109,11 @@ class Snapshot:
 
 def check_tokens(net: DbNet, place_name: str, tokens: Multiset) -> None:
     """Raise unless every token is compatible with the place color."""
-    place = net.places[place_name]
+    color = net.places[place_name].color
     for token in tokens.distinct():
-        if len(token) != len(place.color):
-            raise DefinitionError(
-                f"token {token!r} has {len(token)} components, place "
-                f"{place_name!r} has color arity {len(place.color)}"
-            )
-        for v, col in zip(token, place.color):
-            if v.type_name != col:
-                raise DefinitionError(
-                    f"token {token!r} in {place_name!r}: component is "
-                    f"{v.type_name!r}, color says {col!r}"
-                )
-            net.types.check_value(v)
+        problems = net.types.mismatches(token, color)
+        if problems:
+            raise DefinitionError(f"token {token!r} in {place_name!r}: {problems[0]}")
 
 
 def align_view_places(net: DbNet, instance: DatabaseInstance) -> dict[str, Multiset]:
@@ -240,6 +231,21 @@ def _match_tuple(tup: tuple[Term, ...], token: Token, sigma: Substitution) -> Op
     return bound
 
 
+def external_pools(compiled: CompiledTransition, domains: InputDomains) -> list[Sequence[Value]]:
+    """The input domain of each external normal variable, in the compiled
+    order; a ConfigError names the first variable without one."""
+    pools = []
+    for v in compiled.external:
+        pool = domains.get(v.type_name)
+        if pool is None:
+            raise ConfigError(
+                f"transition {compiled.transition.name!r}: external variable {v.name!r} needs an "
+                f"input domain for type {v.type_name!r}"
+            )
+        pools.append(pool)
+    return pools
+
+
 def enumerate_bindings(
     net: DbNet,
     snap: Snapshot,
@@ -297,15 +303,7 @@ def enumerate_bindings(
         if guard is not None and not guard.holds(_NO_FACTS, base, net.types):
             continue
         if pools is None:
-            pools = []
-            for v in external:
-                pool = domains.get(v.type_name)
-                if pool is None:
-                    raise ConfigError(
-                        f"transition {t.name!r}: external variable {v.name!r} needs an "
-                        f"input domain for type {v.type_name!r}"
-                    )
-                pools.append(pool)
+            pools = external_pools(compiled, domains)
             fresh_pre = [
                 (v, net.types.type(v.type_name), snapshot_active_domain(snap, v.type_name))
                 for v in fresh

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 
-from dbnet import dsl
+from dbnet import cli, dsl
 from dbnet.cli import EXIT_BROKEN_PIPE, EXIT_CONFIG, main
 from dbnet.scenarios import scenario_path, scenario_text
 from dbnet.semantics import binding_from_json, fire, snapshot_digest
@@ -58,6 +58,18 @@ class TestValidate:
         )
         assert proc.returncode == 1
         assert "2:18: error: unexpected character '²'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_integer_literal_too_long_exits_one(self, tmp_path):
+        bad = tmp_path / "long.dbnet"
+        bad.write_text("schema { R(int) }\ninit { facts { R(" + "1" * 5000 + ") } }\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dbnet", "validate", str(bad)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "2:18: error: integer literal too long" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_diagnostics_keep_declaration_order_across_hash_seeds(self, tmp_path):
@@ -246,6 +258,16 @@ class TestExplore:
         code = main(["explore", TICKET, "--max-states", "50"])
         assert code == 0
         assert "truncated" in capsys.readouterr().err
+
+    def test_default_state_budget(self, monkeypatch, capsys):
+        # nu_demo's fresh values make its state space infinite, and its
+        # config sets no budget.
+        monkeypatch.setattr(cli, "DEFAULT_MAX_STATES", 50)
+        assert main(["explore", NU]) == 0
+        out, err = capsys.readouterr()
+        assert "states: 50\n" in out
+        assert "truncated: yes (state budget reached)" in out
+        assert "warning: exploration truncated: state budget reached" in err
 
     def test_monitors_printed(self, capsys):
         main(["explore", RELAY, "--max-states", "10"])

@@ -9,12 +9,19 @@ from dbnet.control import (
     Transition,
     validate_net,
 )
-from dbnet.datalogic import Action, DataLogicLayer, FactTemplate
-from dbnet.datatypes import Variable, builtin_catalog, int_value, string_value
+from dbnet.datalogic import Action, DataLogicLayer, FactTemplate, validate_action
+from dbnet.datatypes import Value, Variable, builtin_catalog, int_value, string_value
 from dbnet.errors import DefinitionError
 from dbnet.multiset import Multiset
-from dbnet.persistence import DatabaseSchema, PersistenceLayer, RelationSchema
-from dbnet.query import Exists, PredicateAtom, RelationAtom, Truth
+from dbnet.persistence import (
+    Constraint,
+    DatabaseSchema,
+    Fact,
+    PersistenceLayer,
+    RelationSchema,
+    check_fact,
+)
+from dbnet.query import Exists, NamedQuery, PredicateAtom, RelationAtom, Truth, validate_query
 from dbnet.semantics import enumerate_bindings, fire, make_snapshot, check_tokens
 from dbnet.persistence import DatabaseInstance
 
@@ -217,7 +224,7 @@ class TestValidateNet:
         net = ticket_like_net(
             transitions=[Transition("t", action=ActionBinding("assign", (E,)))]
         )
-        assert any("binding has 1 components" in d.message for d in validate_net(net))
+        assert any("expected 2 components, got 1" in d.message for d in validate_net(net))
         net = ticket_like_net(
             transitions=[
                 Transition(
@@ -227,7 +234,7 @@ class TestValidateNet:
                 )
             ]
         )
-        assert any("parameter" in d.message for d in validate_net(net))
+        assert any("component 2 is 'string', expected 'int'" in d.message for d in validate_net(net))
 
     def test_inscription_color_mismatch(self):
         net = ticket_like_net(
@@ -240,6 +247,102 @@ class TestValidateNet:
             ticket_like_net(
                 places=[Place("p", "control", ()), Place("p", "control", ())]
             )
+
+
+class TestSignatureRoutes:
+    """Every layer that ties a term tuple to a typed signature reports the
+    problems of `TypeDomain.mismatches`, after its own rules."""
+
+    BAD_INT = Value("int", "x")
+    DOMAIN = "payload 'x' is not in the domain of type 'int'"
+
+    def test_query_atom(self, catalog):
+        schema = DatabaseSchema([RelationSchema("Resp", ("string", "int"))])
+        assert validate_query(RelationAtom("Resp", (E, self.BAD_INT)), schema, catalog) == [
+            f"relation 'Resp': {self.DOMAIN}"
+        ]
+        nu = Variable("n", "string", fresh=True)
+        assert validate_query(RelationAtom("Resp", (nu,)), schema, catalog) == [
+            "relation 'Resp': fresh variable 'n' not allowed in a query",
+            "relation 'Resp': expected 2 components, got 1",
+        ]
+
+    def test_action_template(self, catalog):
+        schema = DatabaseSchema([RelationSchema("Resp", ("string", "int"))])
+        action = Action(
+            "a", (E,), (FactTemplate("Resp", (E, self.BAD_INT)),), (FactTemplate("Resp", (T, E)),)
+        )
+        assert validate_action(action, schema, catalog) == [
+            f"action 'a', add Resp: {self.DOMAIN}",
+            "action 'a', del Resp: 't' is not a parameter",
+            "action 'a', del Resp: component 1 is 'int', expected 'string'",
+            "action 'a', del Resp: component 2 is 'string', expected 'int'",
+        ]
+
+    def test_inscription(self):
+        net = ticket_like_net(
+            transitions=[
+                Transition(
+                    "t",
+                    inputs={"pool": insc((NU, self.BAD_INT))},
+                    outputs={"pool": insc((E,))},
+                )
+            ]
+        )
+        assert [(d.path[-1], d.message) for d in validate_net(net)] == [
+            ("input arc from 'pool'", "fresh variable 'nu_t' not allowed on an input arc"),
+            ("input arc from 'pool'", "component 1 is 'int', expected 'string'"),
+            ("input arc from 'pool'", self.DOMAIN),
+            ("output arc to 'pool'", "expected 2 components, got 1"),
+        ]
+
+    def test_action_argument_literal_outside_its_domain(self):
+        # Without this diagnostic the net fires and writes Resp(e, 'x') into
+        # an `int` column.
+        net = ticket_like_net(
+            transitions=[
+                Transition(
+                    "t",
+                    inputs={"idle": insc((E,))},
+                    action=ActionBinding("assign", (E, self.BAD_INT)),
+                )
+            ]
+        )
+        assert [(d.path, d.message) for d in validate_net(net)] == [
+            (("transition", "t", "action 'assign'"), self.DOMAIN)
+        ]
+
+    def test_fact(self, catalog):
+        schema = DatabaseSchema([RelationSchema("Resp", ("string", "int"))])
+        with pytest.raises(DefinitionError, match=rf"^fact Resp\('a', 'x'\): {self.DOMAIN}$"):
+            check_fact(schema, catalog, Fact("Resp", (string_value("a"), self.BAD_INT)))
+        with pytest.raises(DefinitionError, match=r"^fact Resp\('a'\): expected 2 components, got 1$"):
+            check_fact(schema, catalog, Fact("Resp", (string_value("a"),)))
+
+    def test_token(self):
+        net = ticket_like_net()
+        with pytest.raises(DefinitionError, match="in 'pool': component 2 is 'string', expected 'int'$"):
+            check_tokens(net, "pool", Multiset([(string_value("a"), string_value("b"))]))
+        with pytest.raises(DefinitionError, match=f"in 'pool': {self.DOMAIN}$"):
+            check_tokens(net, "pool", Multiset([(string_value("a"), self.BAD_INT)]))
+
+
+@pytest.mark.parametrize(
+    "build,noun,name",
+    [
+        (lambda: DatabaseSchema([RelationSchema("R", ("int",))] * 2), "relation", "R"),
+        (
+            lambda: PersistenceLayer(DatabaseSchema([]), [Constraint("c", Truth())] * 2),
+            "constraint",
+            "c",
+        ),
+        (lambda: DataLogicLayer(queries=[NamedQuery("Q", (), Truth())] * 2), "query", "Q"),
+        (lambda: ticket_like_net(transitions=[Transition("t"), Transition("t")]), "transition", "t"),
+    ],
+)
+def test_duplicate_names_rejected(build, noun, name):
+    with pytest.raises(DefinitionError, match=f"^duplicate {noun} name '{name}'$"):
+        build()
 
 
 class TestValidNetsAreRunnable:

@@ -5,6 +5,9 @@ import pytest
 
 from dbnet import dsl
 from dbnet.datatypes import (
+    DataType,
+    Kind,
+    TypeDomain,
     Value,
     Variable,
     apply_substitution,
@@ -53,6 +56,41 @@ class TestEvalPredicate:
         args = (int_value(2), int_value(3))
         results = {catalog.eval_predicate("succ", args) for _ in range(20)}
         assert results == {True}
+
+
+class TestMismatches:
+    def test_fitting_tuple(self, catalog):
+        assert catalog.mismatches((int_value(1), Variable("s", "string")), ("int", "string")) == []
+
+    def test_count(self, catalog):
+        assert catalog.mismatches((int_value(1),), ("int", "int")) == ["expected 2 components, got 1"]
+        assert catalog.mismatches((), ("int",)) == ["expected 1 components, got 0"]
+
+    def test_type_of_each_component(self, catalog):
+        assert catalog.mismatches((string_value("a"), int_value(1), bool_value(True)), ("int", "int", "real")) == [
+            "component 1 is 'string', expected 'int'",
+            "component 3 is 'bool', expected 'real'",
+        ]
+
+    def test_value_outside_its_domain(self, catalog):
+        # The same words as `check_value`.
+        assert catalog.mismatches((Value("int", "x"),), ("int",)) == [
+            "payload 'x' is not in the domain of type 'int'"
+        ]
+
+    def test_variable_is_checked_by_type_only(self, catalog):
+        assert catalog.mismatches((Variable("x", "int"),), ("int",)) == []
+        assert catalog.mismatches((Variable("x", "int", fresh=True),), ("string",)) == [
+            "component 1 is 'int', expected 'string'"
+        ]
+
+    def test_unknown_column_type(self, catalog):
+        assert catalog.mismatches((Value("blob", 1),), ("blob",)) == ["unknown type 'blob'"]
+
+
+def test_duplicate_type_name():
+    with pytest.raises(DefinitionError, match="^duplicate type name 'int'$"):
+        TypeDomain([DataType("int", Kind.INT), DataType("int", Kind.STRING)])
 
 
 class TestDomains:

@@ -133,6 +133,12 @@ GOLDEN_DIAGNOSTICS = [
     ("schema { R(int) }\ninit { facts { R(²) } }", ["2:18: error: unexpected character '²'"]),
     ("schema { R(int) }\ninit { facts { R(-²) } }", ["2:18: error: stray '-'"]),
     ("schema { R(real) }\ninit { facts { R(1.²) } }", ["2:20: error: unexpected character '²'"]),
+    # lexer: more digits than `int()` converts (a short id in place of the text)
+    pytest.param(
+        "schema { R(int) }\ninit { facts { R(" + "1" * 5000 + ") } }",
+        ["2:18: error: integer literal too long"],
+        id="5000-digit-integer",
+    ),
 ]
 
 
