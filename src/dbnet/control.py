@@ -9,7 +9,7 @@ when the action is rolled back, along rollback arcs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Literal, Optional
 
 from .datalogic import Action, DataLogicLayer, validate_action
@@ -102,8 +102,9 @@ class Transition:
 class DbNet:
     """The assembled four-layer bundle.
 
-    Constraints are evaluated over the net's type domain: a persistence
-    layer defined over another one (or over none) is rebound to `types`.
+    Constraints and view queries are evaluated over the net's type domain:
+    a persistence layer or query defined over another one (or over none) is
+    rebound to `types`.
     """
 
     def __init__(
@@ -118,6 +119,9 @@ class DbNet:
         if persistence.types is not types:
             persistence = PersistenceLayer(persistence.schema, persistence.constraints, types)
         self.persistence = persistence
+        if any(q.types is not types for q in logic.queries.values()):
+            queries = [replace(q, types=types) for q in logic.queries.values()]
+            logic = DataLogicLayer(queries, logic.actions.values())
         self.logic = logic
         self.places: dict[str, Place] = by_name(places, "place")
         self.transitions: dict[str, Transition] = by_name(transitions, "transition")
@@ -299,8 +303,8 @@ def _check_terms(
     net: DbNet, terms: tuple[Term, ...], type_names: tuple[str, ...], path, error, *, input_arc=False
 ) -> None:
     """Report a control-layer term tuple's fresh variables that sit on an
-    input arc or have a finite type, then its signature problems."""
-    for term in terms:
+    input arc or have a finite type, each once, then its signature problems."""
+    for term in dict.fromkeys(terms):
         if isinstance(term, Variable) and term.fresh:
             if input_arc:
                 error(path, f"fresh variable {term.name!r} not allowed on an input arc")

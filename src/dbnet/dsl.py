@@ -1203,7 +1203,7 @@ class _Elaborator:
                     clause="free-variable ordering",
                 )
                 continue
-            out.append(NamedQuery(q.name, params, body))
+            out.append(NamedQuery(q.name, params, body, self.types))
         return out
 
     def _template(self, atom: TemplateAtom, scope: dict[str, Variable]):

@@ -490,11 +490,13 @@ def entails(instance: DatabaseInstance, theta: Substitution, query: Query, *, ty
 
 @dataclass(frozen=True)
 class NamedQuery:
-    """A query with an explicitly ordered tuple of free variables."""
+    """A query with an explicitly ordered tuple of free variables, answered
+    over `types` (the built-in catalog when it is None)."""
 
     name: str
     params: tuple[Variable, ...]
     body: Query
+    types: TypeDomain | None = field(default=None, repr=False, compare=False)
     cache_token: int = field(init=False, repr=False, compare=False)
     _plan: AnswerPlan | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -516,18 +518,17 @@ class NamedQuery:
         return self._plan
 
 
-def answers(
-    named: NamedQuery, instance: DatabaseInstance, *, types: TypeDomain | None = None
-) -> frozenset[tuple[Value, ...]]:
+def answers(named: NamedQuery, instance: DatabaseInstance) -> frozenset[tuple[Value, ...]]:
     """All substitutions (as value tuples in declared parameter order) over
-    the typed active-domain product under which the body holds.
+    the typed active-domain product under which the body holds, evaluated
+    over the query's own type domain.
 
     A boolean query answers {()} when it holds and the empty set otherwise.
     """
     cached = instance.cached_answers(named.cache_token)
     if cached is not None:
         return cached
-    return instance.store_answers(named.cache_token, named.plan.answers(instance, types))
+    return instance.store_answers(named.cache_token, named.plan.answers(instance, named.types))
 
 
 _CATALOG = builtin_catalog()

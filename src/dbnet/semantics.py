@@ -50,14 +50,12 @@ _NO_FACTS = DatabaseInstance()
 class Marking:
     """An immutable distribution of tokens over places."""
 
-    __slots__ = ("_places", "_adom", "_hash")
+    __slots__ = ("_places",)
 
     def __init__(self, places: Mapping[str, Multiset]):
         self._places: dict[str, Multiset] = {
             name: ms for name, ms in places.items() if ms
         }
-        self._adom: dict[str, frozenset[Value]] = {}
-        self._hash: int | None = None
 
     def tokens(self, place_name: str) -> Multiset:
         return self._places.get(place_name, EMPTY)
@@ -73,17 +71,13 @@ class Marking:
         return Marking(places)
 
     def active_domain(self, type_name: str) -> frozenset[Value]:
-        cached = self._adom.get(type_name)
-        if cached is None:
-            cached = frozenset(
-                v
-                for ms in self._places.values()
-                for token in ms.distinct()
-                for v in token
-                if v.type_name == type_name
-            )
-            self._adom[type_name] = cached
-        return cached
+        return frozenset(
+            v
+            for ms in self._places.values()
+            for token in ms.distinct()
+            for v in token
+            if v.type_name == type_name
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Marking):
@@ -91,9 +85,7 @@ class Marking:
         return self._places == other._places
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._places.items()))
-        return self._hash
+        return hash(frozenset(self._places.items()))
 
     def __repr__(self) -> str:
         return f"Marking({self._places!r})"
@@ -122,7 +114,7 @@ def align_view_places(net: DbNet, instance: DatabaseInstance) -> dict[str, Multi
     fragment: dict[str, Multiset] = {}
     for place in net.view_places():
         named = net.logic.queries[place.query_name]
-        fragment[place.name] = Multiset(answers(named, instance, types=net.types))
+        fragment[place.name] = Multiset(answers(named, instance))
     return fragment
 
 
@@ -419,15 +411,6 @@ def state_key(net: DbNet, snap: Snapshot):
 # --- bounded exploration ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    transition: str
-    binding: Substitution
-    committed: bool
-    dst: int
-
-
 @dataclass
 class Monitors:
     """Width/depth boundedness observations over all stored states."""
@@ -449,12 +432,14 @@ class Monitors:
 
 @dataclass
 class LTS:
-    """The explored fragment of the snapshot transition graph."""
+    """The explored fragment of the snapshot transition graph: its states,
+    their BFS depths and parent pointers, and the number of edges fired
+    between them (the edges themselves are not kept)."""
 
     snapshots: list[Snapshot]
-    edges: list[Edge]
     depths: list[int]
     parents: list[Optional[tuple[int, str, Substitution, bool]]]
+    edge_count: int = 0
     initial: int = 0
     truncated: bool = False
     truncation_reason: str = ""
@@ -464,10 +449,6 @@ class LTS:
     @property
     def state_count(self) -> int:
         return len(self.snapshots)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def witness_path(self) -> list[tuple[str, Substitution, bool]]:
         """Firing sequence from the initial state to the goal state."""
@@ -514,9 +495,9 @@ def build_lts(
     """
     intern = InstanceInterner()
     s0 = Snapshot(intern(s0.instance), s0.marking)
-    lts = LTS(snapshots=[s0], edges=[], depths=[0], parents=[None])
+    lts = LTS(snapshots=[s0], depths=[0], parents=[None])
     lts.monitors.observe(s0, 0)
-    index: dict = {state_key(net, s0): 0}
+    seen = {state_key(net, s0)}
     if goal is not None and goal(s0):
         lts.goal_state = 0
 
@@ -534,21 +515,19 @@ def build_lts(
             for sigma in enumerate_bindings(net, snap, t, domains):
                 snap2, committed = fire(net, snap, t, sigma, check=False, intern=intern)
                 key = state_key(net, snap2)
-                nid = index.get(key)
-                if nid is None:
+                if key not in seen:
                     if max_states is not None and len(lts.snapshots) >= max_states:
                         lts.truncated = True
                         lts.truncation_reason = "state budget reached"
                         return lts
-                    nid = len(lts.snapshots)
-                    index[key] = nid
+                    seen.add(key)
+                    if goal is not None and lts.goal_state is None and goal(snap2):
+                        lts.goal_state = len(lts.snapshots)
                     lts.snapshots.append(snap2)
                     lts.depths.append(depth + 1)
                     lts.parents.append((sid, t.name, sigma, committed))
                     lts.monitors.observe(snap2, depth + 1)
-                    if goal is not None and lts.goal_state is None and goal(snap2):
-                        lts.goal_state = nid
-                lts.edges.append(Edge(sid, t.name, sigma, committed, nid))
+                lts.edge_count += 1
     return lts
 
 

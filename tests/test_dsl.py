@@ -139,6 +139,11 @@ GOLDEN_DIAGNOSTICS = [
         ["2:18: error: integer literal too long"],
         id="5000-digit-integer",
     ),
+    # a fresh variable repeated in one tuple is reported once
+    (
+        "schema { }\nnet { place p : (int >< int) transition t { fresh { x: int } in { p -> <x, x> } } }",
+        ["2:67: error: transition / t / input arc from 'p': fresh variable 'x' not allowed on an input arc"],
+    ),
 ]
 
 

@@ -3,11 +3,20 @@ import dataclasses
 import pytest
 
 from dbnet import dsl
-from dbnet.datatypes import Variable, int_value, string_value
+from dbnet.control import DbNet, Place
+from dbnet.datalogic import DataLogicLayer
+from dbnet.datatypes import Predicate, TypeDomain, Variable, builtin_catalog, int_value, string_value
 from dbnet.errors import BindingError, ConfigError, DefinitionError
 from dbnet.multiset import Multiset
-from dbnet.persistence import DatabaseInstance, Fact, check_compliance
-from dbnet.query import Truth, answers
+from dbnet.persistence import (
+    DatabaseInstance,
+    DatabaseSchema,
+    Fact,
+    PersistenceLayer,
+    RelationSchema,
+    check_compliance,
+)
+from dbnet.query import And, NamedQuery, PredicateAtom, RelationAtom, Truth, answers
 from dbnet.semantics import (
     InstanceInterner,
     align_view_places,
@@ -24,6 +33,7 @@ from dbnet.semantics import (
     state_key,
 )
 
+from firings import successors
 from oracles import satisfies
 
 
@@ -111,6 +121,30 @@ class TestAlignment:
             assert set(s0.marking.tokens(place.name).distinct()) == set(
                 answers(named, s0.instance)
             )
+
+    def test_view_answers_use_the_net_types(self):
+        """A net whose `succ` means "plus two" answers its view query by that
+        meaning, also on an instance that the built-in meaning was asked on."""
+        x, y = Variable("x", "int"), Variable("y", "int")
+        body = And(And(RelationAtom("R", (x,)), RelationAtom("R", (y,))), PredicateAtom("succ", (x, y)))
+        query = NamedQuery("Step", (x, y), body)
+        builtin_int = builtin_catalog().type("int")
+        plus_two = Predicate("succ", 2, lambda a, b: b == a + 2)
+        types = TypeDomain([dataclasses.replace(builtin_int, predicates={**builtin_int.predicates, "succ": plus_two})])
+        net = DbNet(
+            types,
+            PersistenceLayer(DatabaseSchema([RelationSchema("R", ("int",))])),
+            DataLogicLayer([query]),
+            [Place("Steps", "view", ("int", "int"), "Step")],
+            [],
+        )
+        instance = DatabaseInstance(Fact("R", (int_value(i),)) for i in range(4))
+        pairs = lambda *ps: {(int_value(a), int_value(b)) for a, b in ps}
+
+        assert answers(query, instance) == pairs((0, 1), (1, 2), (2, 3))
+        assert net.logic.queries["Step"].types is types
+        assert answers(net.logic.queries["Step"], instance) == pairs((0, 2), (1, 3))
+        assert set(make_snapshot(net, instance).marking.tokens("Steps").distinct()) == pairs((0, 2), (1, 3))
 
     def test_make_snapshot_rejects_view_tokens(self, ticket_scenario):
         net = ticket_scenario.net
@@ -394,10 +428,10 @@ class TestBuildLts:
     def test_initial_successors_match_hand_enumeration(self, ticket_scenario):
         net, s0 = ticket_scenario.net, ticket_scenario.initial
         lts = build_lts(net, s0, domains=ticket_scenario.domains, max_depth=1)
-        from_initial = [e for e in lts.edges if e.src == 0]
+        from_initial = list(successors(net, lts.snapshots[0], ticket_scenario.domains))
         seen = {
-            (e.transition, tuple(sorted((v.name, str(val.payload)) for v, val in e.binding.items())), e.committed)
-            for e in from_initial
+            (t.name, tuple(sorted((v.name, str(val.payload)) for v, val in sigma.items())), committed)
+            for t, sigma, committed, _ in from_initial
         }
         assert seen == {
             ("close", (("d", "bug"), ("e", "bob"), ("t", "1")), True),
@@ -406,6 +440,10 @@ class TestBuildLts:
             ("take", (("d", "bug"), ("e", "ann"), ("t", "1")), True),
             ("take", (("d", "bug"), ("e", "bob"), ("t", "1")), True),
         }
+        assert lts.edge_count == len(from_initial) == 5
+        stored = [state_key(net, snap) for snap in lts.snapshots]
+        assert stored[0] == state_key(net, s0)
+        assert stored[1:] == list(dict.fromkeys(state_key(net, snap2) for *_, snap2 in from_initial))
 
     def test_goal_and_witness(self, relay_scenario):
         net = relay_scenario.net
@@ -433,10 +471,33 @@ class TestBuildLts:
         lts = build_lts(
             net, ticket_scenario.initial, domains=ticket_scenario.domains, max_states=200
         )
-        rolled_back = [e for e in lts.edges if not e.committed]
+        rolled_back = [
+            (snap, snap2)
+            for snap in lts.snapshots
+            for _, _, committed, snap2 in successors(net, snap, ticket_scenario.domains)
+            if not committed
+        ]
         assert rolled_back, "expected reachable rollback firings in the ticket scenario"
-        for e in rolled_back:
-            assert lts.snapshots[e.src].instance == lts.snapshots[e.dst].instance
+        for snap, snap2 in rolled_back:
+            assert snap.instance == snap2.instance
+
+    @pytest.mark.parametrize("name,counts", [("ticket", (1446, 3278)), ("nu_demo", (101, 293))])
+    def test_closed_under_firing(self, request, name, counts):
+        """Every state above the depth budget is expanded: its enabled
+        firings are exactly the counted edges, and lead to stored states."""
+        scenario = request.getfixturevalue(f"{name}_scenario")
+        net = scenario.net
+        lts = build_lts(net, scenario.initial, domains=scenario.domains, max_depth=6)
+        assert (lts.state_count, lts.edge_count) == counts
+        assert lts.truncation_reason == "depth budget reached"
+        stored = {state_key(net, snap) for snap in lts.snapshots}
+        fired = 0
+        for snap, depth in zip(lts.snapshots, lts.depths):
+            if depth < 6:
+                for *_, snap2 in successors(net, snap, scenario.domains):
+                    fired += 1
+                    assert state_key(net, snap2) in stored
+        assert fired == lts.edge_count
 
 
 class TestLazyFiring:
