@@ -14,7 +14,6 @@ from .datalogic import (
     DataLogicLayer,
     FactTemplate,
     apply_raw,
-    apply_transactional,
     instantiate,
 )
 from .datatypes import (

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Literal, Optional
 
-from .datalogic import Action, DataLogicLayer, validate_action
+from .datalogic import Action, DataLogicLayer, FactTemplate, validate_action
 from .datatypes import Term, TypeDomain, Value, Variable, by_name
 from .errors import DefinitionError
 from .multiset import EMPTY, Multiset
 from .persistence import PersistenceLayer
-from .query import FormulaPlan, Guard, Truth, all_vars, validate_query
+from .query import FormulaPlan, Guard, Truth, free_vars, validate_query
 
 #: An arc inscription: a multiset of term tuples.
 Inscription = Multiset  # Multiset[tuple[Term, ...]]
@@ -169,10 +169,11 @@ class CompiledTransition:
     fresh: tuple[Variable, ...]  # sorted
     #: The guard as a query over the empty instance; None when it is `Truth`.
     guard: Optional[FormulaPlan]
-    #: The bound action (None without one, or when its name is unknown)
-    #: and its formal parameter -> actual term pairs.
+    #: The bound action (None without one) and its add and delete
+    #: templates with the transition's arguments in place of its parameters.
     action: Optional[Action]
-    action_args: tuple[tuple[Variable, Term], ...]
+    adds: tuple[FactTemplate, ...]
+    dels: tuple[FactTemplate, ...]
     #: (control place, input, output, rollback inscription) for every
     #: control place an arc of the transition touches.
     arcs: tuple[tuple[str, Inscription, Inscription, Inscription], ...]
@@ -184,7 +185,7 @@ def compile_transition(net: DbNet, t: Transition) -> CompiledTransition:
         for tup, mult in t.inputs[place_name].sorted_items(tuple_key):
             slots.extend([(place_name, tup)] * mult)
     fresh = t.fresh_vars()
-    action = None if t.action is None else net.logic.actions.get(t.action.action_name)
+    action, adds, dels = _bound_action(net, t)
     touched = sorted(
         name
         for name in set(t.inputs) | set(t.outputs) | set(t.rollbacks)
@@ -198,7 +199,8 @@ def compile_transition(net: DbNet, t: Transition) -> CompiledTransition:
         fresh=tuple(sorted(fresh, key=var_key)),
         guard=None if isinstance(t.guard, Truth) else FormulaPlan(t.guard),
         action=action,
-        action_args=() if action is None else tuple(zip(action.params, t.action.args)),
+        adds=adds,
+        dels=dels,
         arcs=tuple(
             (
                 name,
@@ -208,6 +210,27 @@ def compile_transition(net: DbNet, t: Transition) -> CompiledTransition:
             )
             for name in touched
         ),
+    )
+
+
+def _bound_action(net: DbNet, t: Transition):
+    """The action `t` invokes and its add and delete templates over `t`'s
+    arguments; a DefinitionError if the action is unknown or an argument
+    does not fit its parameter."""
+    if t.action is None:
+        return None, (), ()
+    action = net.logic.actions.get(t.action.action_name)
+    if action is None:
+        problems = ["unknown action"]
+    else:
+        problems = net.types.mismatches(t.action.args, tuple(p.type_name for p in action.params))
+    if problems:
+        raise DefinitionError(f"transition {t.name!r}, action {t.action.action_name!r}: {problems[0]}")
+    args = dict(zip(action.params, t.action.args))
+    return (
+        action,
+        tuple(tpl.substitute(args) for tpl in action.adds),
+        tuple(tpl.substitute(args) for tpl in action.dels),
     )
 
 
@@ -358,7 +381,7 @@ def _validate_transition(net: DbNet, t: Transition, error, warning) -> None:
     ):
         error(guard_path, problem)
     in_vars = t.in_vars()
-    for v in all_vars(t.guard):
+    for v in free_vars(t.guard):
         if v not in in_vars:
             error(guard_path, f"guard variable {v.name!r} is not bound by any input arc")
 

@@ -1,26 +1,20 @@
-"""Parameterized add/delete actions and their transactional application.
+"""Parameterized add/delete actions and their grounding.
 
 An action lists fact templates to delete and to add. Grounding the templates
 with a parameter substitution gives two concrete fact sets; applying them
 computes (I - deletions) + additions, so an addition always wins over a
-simultaneous deletion of the same fact. The transactional wrapper commits
-the result only when it satisfies every constraint of the persistence layer.
+simultaneous deletion of the same fact. Whether the result is committed is
+decided by firing (`semantics.fire`), against the persistence layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from .datatypes import Term, TypeDomain, Value, Variable, apply_substitution, by_name, Substitution
+from .datatypes import Term, TypeDomain, Variable, apply_substitution, by_name, Substitution
 from .errors import DefinitionError
-from .persistence import (
-    DatabaseInstance,
-    DatabaseSchema,
-    Fact,
-    PersistenceLayer,
-    check_compliance,
-)
+from .persistence import DatabaseInstance, DatabaseSchema, Fact
 from .query import NamedQuery
 
 
@@ -33,6 +27,10 @@ class FactTemplate:
 
     def ground(self, theta: Substitution) -> Fact:
         return Fact(self.relation, tuple(apply_substitution(a, theta) for a in self.args))
+
+    def substitute(self, args: Mapping[Variable, Term]) -> "FactTemplate":
+        """This template with each parameter replaced by its argument."""
+        return FactTemplate(self.relation, tuple(apply_substitution(a, args) for a in self.args))
 
 
 @dataclass(frozen=True)
@@ -69,24 +67,26 @@ def validate_action(action: Action, schema: DatabaseSchema, types: TypeDomain) -
 
 @dataclass(frozen=True)
 class ActionInstance:
-    """An action grounded by a total, well-typed parameter substitution."""
+    """An action grounded by a total, well-typed substitution."""
 
     action: Action
-    theta: tuple[tuple[Variable, Value], ...]
+    added_facts: frozenset[Fact]
+    deleted_facts: frozenset[Fact]
 
-    @property
-    def substitution(self) -> Substitution:
-        return dict(self.theta)
 
-    @property
-    def added_facts(self) -> frozenset[Fact]:
-        theta = self.substitution
-        return frozenset(tpl.ground(theta) for tpl in self.action.adds)
-
-    @property
-    def deleted_facts(self) -> frozenset[Fact]:
-        theta = self.substitution
-        return frozenset(tpl.ground(theta) for tpl in self.action.dels)
+def ground(
+    action: Action,
+    adds: Iterable[FactTemplate],
+    dels: Iterable[FactTemplate],
+    theta: Substitution,
+) -> ActionInstance:
+    """The instance of `action` whose fact sets are the templates grounded
+    by `theta`, which binds every variable they mention."""
+    return ActionInstance(
+        action,
+        frozenset(tpl.ground(theta) for tpl in adds),
+        frozenset(tpl.ground(theta) for tpl in dels),
+    )
 
 
 def instantiate(action: Action, theta: Substitution) -> ActionInstance:
@@ -100,26 +100,12 @@ def instantiate(action: Action, theta: Substitution) -> ActionInstance:
                 f"action {action.name!r}: parameter {p.name!r} bound to a "
                 f"{theta[p].type_name!r} value, expected {p.type_name!r}"
             )
-    return ActionInstance(action, tuple((p, theta[p]) for p in action.params))
+    return ground(action, action.adds, action.dels, theta)
 
 
 def apply_raw(instance_of: ActionInstance, db: DatabaseInstance) -> DatabaseInstance:
     """(I - F-) + F+, ignoring constraints; the input instance is unchanged."""
     return db.with_changes(add=instance_of.added_facts, remove=instance_of.deleted_facts)
-
-
-def apply_transactional(
-    layer: PersistenceLayer, instance_of: ActionInstance, db: DatabaseInstance
-) -> tuple[DatabaseInstance, bool]:
-    """Apply and commit if the result complies, otherwise roll back.
-
-    Returns (new instance, True) on commit and (db unchanged, False) on
-    rollback; the returned instance is always compliant when `db` was.
-    """
-    candidate = apply_raw(instance_of, db)
-    if check_compliance(layer, candidate).ok:
-        return candidate, True
-    return db, False
 
 
 class DataLogicLayer:

@@ -48,7 +48,6 @@ from .query import (
     Query,
     RelationAtom,
     Truth,
-    all_vars,
     forall,
     free_vars,
     implies,
@@ -1289,7 +1288,7 @@ class _Elaborator:
                     action = ActionBinding(t.action.name, args)
 
             transition = Transition(t.name, inputs, outputs, rollbacks, guard, action)
-            used = {v.name for v in (*transition.variables(), *all_vars(guard))}
+            used = {v.name for v in (*transition.variables(), *free_vars(guard))}
             for name in sorted(set(scope) - used):
                 self.warnings.append(
                     Diagnostic("warning", t.span, f"variable {name!r} is declared but never used")

@@ -73,13 +73,12 @@ def check_fact(schema: DatabaseSchema, types: TypeDomain, fact: Fact) -> Fact:
 class DatabaseInstance:
     """An immutable finite set of facts (set semantics, no duplicates)."""
 
-    __slots__ = ("facts", "_adom", "_canonical", "_hash", "_answers", "_compliance")
+    __slots__ = ("facts", "_adom", "_canonical", "_answers", "_compliance")
 
     def __init__(self, facts: Iterable[Fact] = ()):
         self.facts: frozenset[Fact] = frozenset(facts)
         self._adom: dict[str, frozenset[Value]] = {}
         self._canonical: tuple[Fact, ...] | None = None
-        self._hash: int | None = None
         self._answers: dict[int, frozenset] = {}
         self._compliance: dict[int, "ComplianceReport"] = {}
 
@@ -89,9 +88,7 @@ class DatabaseInstance:
         return self.facts == other.facts
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.facts)
-        return self._hash
+        return hash(self.facts)
 
     def __len__(self) -> int:
         return len(self.facts)

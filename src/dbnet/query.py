@@ -120,28 +120,6 @@ def free_vars(query: Query) -> tuple[Variable, ...]:
     return tuple(seen)
 
 
-def all_vars(query: Query) -> tuple[Variable, ...]:
-    """Every variable occurring in the formula, free or bound."""
-    seen: dict[Variable, None] = {}
-
-    def walk(q: Query) -> None:
-        if isinstance(q, (PredicateAtom, RelationAtom)):
-            for arg in q.args:
-                if isinstance(arg, Variable):
-                    seen.setdefault(arg)
-        elif isinstance(q, Not):
-            walk(q.body)
-        elif isinstance(q, And):
-            walk(q.left)
-            walk(q.right)
-        elif isinstance(q, Exists):
-            seen.setdefault(q.var)
-            walk(q.body)
-
-    walk(query)
-    return tuple(seen)
-
-
 def validate_query(
     query: Query,
     schema: DatabaseSchema,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from .control import CompiledTransition, DbNet, Inscription, Transition, token_key
-from .datalogic import ActionInstance, apply_raw, instantiate
+from .datalogic import ActionInstance, apply_raw, ground
 from .datatypes import (
     Substitution,
     Term,
@@ -184,22 +184,12 @@ def is_enabled(net: DbNet, snap: Snapshot, t: Transition, sigma: Substitution) -
 def induced_action_instance(
     net: DbNet, t: Transition, sigma: Substitution
 ) -> Optional[ActionInstance]:
-    """Ground the bound action's formal parameters, if the transition has one."""
-    if t.action is None:
-        return None
+    """Ground the bound action's compiled templates with sigma, if the
+    transition has an action."""
     compiled = net.compiled(t)
     if compiled.action is None:
-        raise DefinitionError(f"transition {t.name!r}: unknown action {t.action.action_name!r}")
-    theta: Substitution = {}
-    for param, term in compiled.action_args:
-        if isinstance(term, Variable):
-            try:
-                theta[param] = sigma[term]
-            except KeyError:
-                raise BindingError(f"binding does not cover action argument {term!r}") from None
-        else:
-            theta[param] = term
-    return instantiate(compiled.action, theta)
+        return None
+    return ground(compiled.action, compiled.adds, compiled.dels, sigma)
 
 
 def _match_tuple(tup: tuple[Term, ...], token: Token, sigma: Substitution) -> Optional[list[Variable]]:
@@ -262,16 +252,12 @@ def enumerate_bindings(
     }
 
     matched: list[Substitution] = []
-    seen: set[frozenset] = set()
     sigma: Substitution = {}
     used: dict[tuple[str, Token], int] = {}
 
     def backtrack(i: int) -> None:
         if i == len(slots):
-            key = frozenset(sigma.items())
-            if key not in seen:
-                seen.add(key)
-                matched.append(dict(sigma))
+            matched.append(dict(sigma))
             return
         place_name, tup = slots[i]
         for token, avail in tokens_cache[place_name]:
@@ -323,7 +309,9 @@ def fire(
     """Fire `t` under binding `sigma`.
 
     The database is updated through the induced action instance (identity
-    when the transition has no action); the control marking follows
+    when the transition has no action), which commits only when the result
+    satisfies every constraint and otherwise rolls back, leaving the
+    instance unchanged; the control marking follows
     m2(p) = (m1(p) - in) + k*out + (1-k)*rollback with k = 1 iff committed;
     view places are realigned against the resulting instance. Only the
     control places the transition's arcs touch are rebuilt.

@@ -20,7 +20,6 @@ from dbnet.cli import main
 from dbnet.datatypes import Variable, int_value
 from dbnet.multiset import Multiset
 from dbnet.persistence import DatabaseInstance, PersistenceLayer
-from dbnet.datalogic import instantiate, apply_transactional
 from dbnet.query import NamedQuery, answers
 from dbnet.scenarios import scenario_path, scenario_text
 from dbnet.semantics import (
@@ -28,6 +27,7 @@ from dbnet.semantics import (
     enabled_firings,
     enumerate_bindings,
     fire,
+    induced_action_instance,
     inscription_binding,
     snapshot_digest,
     state_key,
@@ -42,6 +42,7 @@ from generators import (
     random_query,
     random_schema,
 )
+from firings import action_net
 from oracles import brute_compliant, brute_force_answers, naive_apply
 from test_nupn import run_pair
 
@@ -110,33 +111,38 @@ def test_criterion_2_query_oracle_equivalence():
 
 @pytest.mark.acceptance("criterion 3 (transactionality suite)")
 def test_criterion_3_transactionality():
+    """Random actions fired as the one transition of a net: `fire` decides
+    commit or rollback, and routes the token accordingly."""
     rng = random.Random(31337)
     started = time.perf_counter()
     for case in range(1000):
         schema = random_schema(rng)
         constraints = random_constraints(rng, schema)
         layer = PersistenceLayer(schema, constraints)
-        before = random_compliant_instance(rng, layer)
-        assert brute_compliant(constraints, before)
+        db = random_compliant_instance(rng, layer)
+        assert brute_compliant(constraints, db)
 
         force_overlap = case % 5 == 0
         action, theta = random_action(rng, schema, force_overlap=force_overlap)
-        inst = instantiate(action, theta)
-        after, committed = apply_transactional(layer, inst, before)
+        net, before = action_net(layer, action, theta, db)
+        t = net.transitions["t"]
+        after, committed = fire(net, before, t, {})
+        assert after.marking.tokens("done" if committed else "failed")
 
-        raw = naive_apply(action, theta, before.facts)
+        raw = naive_apply(action, theta, db.facts)
         assert committed == brute_compliant(constraints, DatabaseInstance(raw))
         if committed:
-            assert after.facts == raw
-            assert brute_compliant(constraints, after)
+            assert after.instance.facts == raw
+            assert brute_compliant(constraints, after.instance)
         else:
-            assert after == before  # rollback identity
+            assert after.instance == before.instance  # rollback identity
 
         if force_overlap:
+            inst = induced_action_instance(net, t, {})
             overlap = inst.added_facts & inst.deleted_facts
             assert overlap
             if committed:
-                assert overlap <= after.facts  # additions win over deletions
+                assert overlap <= after.instance.facts  # additions win over deletions
             assert overlap <= DatabaseInstance(raw).facts
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"criterion 3 took {elapsed:.1f} s"

@@ -7,7 +7,6 @@ from dbnet.datalogic import (
     DataLogicLayer,
     FactTemplate,
     apply_raw,
-    apply_transactional,
     instantiate,
 )
 from dbnet.datatypes import Variable, int_value, string_value
@@ -29,6 +28,7 @@ from generators import (
     random_constraints,
     random_schema,
 )
+from firings import fire_action
 from oracles import brute_compliant, naive_apply
 
 E = Variable("e", "string")
@@ -151,27 +151,27 @@ class TestApplyRaw:
 
 
 class TestApplyTransactional:
+    """The commit-or-rollback rule, as `fire` applies it to an action."""
+
     def test_assign_violating_key_rolls_back(self):
         layer = one_ticket_layer()
         db = DatabaseInstance([emp("ann"), ticket(1, "a"), ticket(2, "b"), resp("ann", 1)])
-        inst = instantiate(ASSIGN, {E: string_value("ann"), T: int_value(2)})
-        got, committed = apply_transactional(layer, inst, db)
+        got, committed = fire_action(layer, ASSIGN, {E: string_value("ann"), T: int_value(2)}, db)
         assert not committed
-        assert got == db
+        assert got.instance == db
 
     def test_release_commits(self):
         layer = one_ticket_layer()
         db = DatabaseInstance([emp("ann"), resp("bob", 1)])
-        inst = instantiate(RELEASE, {E: string_value("bob"), T: int_value(1)})
-        got, committed = apply_transactional(layer, inst, db)
+        got, committed = fire_action(layer, RELEASE, {E: string_value("bob"), T: int_value(1)}, db)
         assert committed
-        assert got == DatabaseInstance([emp("ann")])
+        assert got.instance == DatabaseInstance([emp("ann")])
 
     def test_noop_commits(self):
         layer = one_ticket_layer()
         db = DatabaseInstance([resp("ann", 1)])
-        got, committed = apply_transactional(layer, instantiate(NOOP, {}), db)
-        assert committed and got == db
+        got, committed = fire_action(layer, NOOP, {}, db)
+        assert committed and got.instance == db
 
     def test_randomized_transactionality(self):
         rng = random.Random(99)
@@ -182,16 +182,15 @@ class TestApplyTransactional:
             db = random_compliant_instance(rng, layer)
             assert brute_compliant(constraints, db)
             action, theta = random_action(rng, sch)
-            inst = instantiate(action, theta)
-            got, committed = apply_transactional(layer, inst, db)
+            got, committed = fire_action(layer, action, theta, db)
             raw = naive_apply(action, theta, db.facts)
             # Commit decision agrees with the brute-force oracle on the raw result.
             assert committed == brute_compliant(constraints, DatabaseInstance(raw))
             if committed:
-                assert got.facts == raw
-                assert check_compliance(layer, got).ok
+                assert got.instance.facts == raw
+                assert check_compliance(layer, got.instance).ok
             else:
-                assert got == db
+                assert got.instance == db
 
 
 class TestLayer:

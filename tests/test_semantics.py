@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -34,7 +35,7 @@ from dbnet.semantics import (
 )
 
 from firings import successors
-from oracles import satisfies
+from oracles import reference_successors, satisfies, snapshot_key
 
 
 def emp(name):
@@ -281,18 +282,20 @@ class TestInducedActionInstance:
         assert inst.action.name == "release"
         assert inst.deleted_facts == {resp("bob", 1)}
 
-    def test_literal_in_binding_tuple(self, catalog):
+    @staticmethod
+    def mark_net(catalog, action_name, args):
+        """A one-transition net binding `action_name` with `args`, where
+        `mark(p1: string, p2: int)` adds R(p1, p2)."""
         from dbnet.control import ActionBinding, DbNet, Place, Transition
         from dbnet.datalogic import Action, DataLogicLayer, FactTemplate
         from dbnet.persistence import DatabaseSchema, PersistenceLayer, RelationSchema
 
-        e = Variable("e", "string")
         p1 = Variable("p1", "string")
         p2 = Variable("p2", "int")
         action = Action(
             "mark", (p1, p2), (FactTemplate("R", (p1, p2)),), ()
         )
-        net = DbNet(
+        return DbNet(
             catalog,
             PersistenceLayer(DatabaseSchema([RelationSchema("R", ("string", "int"))]), []),
             DataLogicLayer(actions=[action]),
@@ -300,14 +303,31 @@ class TestInducedActionInstance:
             [
                 Transition(
                     "t",
-                    inputs={"p": Multiset([(e,)])},
-                    action=ActionBinding("mark", (e, int_value(7))),
+                    inputs={"p": Multiset([(Variable("e", "string"),)])},
+                    action=ActionBinding(action_name, args),
                 )
             ],
         )
+
+    def test_literal_in_binding_tuple(self, catalog):
+        e = Variable("e", "string")
+        net = self.mark_net(catalog, "mark", (e, int_value(7)))
         t = net.transitions["t"]
         inst = induced_action_instance(net, t, {e: string_value("x")})
         assert inst.added_facts == {Fact("R", (string_value("x"), int_value(7)))}
+
+    @pytest.mark.parametrize(
+        "action_name,args,message",
+        [
+            ("nope", (), "unknown action"),
+            ("mark", (Variable("e", "string"), string_value("7")), "component 2 is 'string'"),
+            ("mark", (Variable("e", "string"),), "expected 2 components"),
+        ],
+    )
+    def test_bad_action_binding_fails_when_compiled(self, catalog, action_name, args, message):
+        net = self.mark_net(catalog, action_name, args)
+        with pytest.raises(DefinitionError, match=message):
+            net.compiled(net.transitions["t"])
 
     def test_none_without_action(self, relay_scenario):
         net = relay_scenario.net
@@ -481,10 +501,25 @@ class TestBuildLts:
         for snap, snap2 in rolled_back:
             assert snap.instance == snap2.instance
 
+    @staticmethod
+    def assert_matches_reference(net, snap, domains):
+        """The engine's firings of `snap` equal the reference's, as a
+        multiset of (transition, binding, committed, successor); returns the
+        engine's successors."""
+        fired = list(successors(net, snap, domains))
+        got = [
+            (t.name, frozenset(sigma.items()), committed, snapshot_key(snap2))
+            for t, sigma, committed, snap2 in fired
+        ]
+        assert len({firing[:2] for firing in got}) == len(got), "a binding is enumerated twice"
+        assert Counter(got) == Counter(reference_successors(net, snap, domains))
+        return [snap2 for *_, snap2 in fired]
+
     @pytest.mark.parametrize("name,counts", [("ticket", (1446, 3278)), ("nu_demo", (101, 293))])
     def test_closed_under_firing(self, request, name, counts):
         """Every state above the depth budget is expanded: its enabled
-        firings are exactly the counted edges, and lead to stored states."""
+        firings are exactly the counted edges, match the reference
+        semantics, and lead to stored states."""
         scenario = request.getfixturevalue(f"{name}_scenario")
         net = scenario.net
         lts = build_lts(net, scenario.initial, domains=scenario.domains, max_depth=6)
@@ -494,10 +529,17 @@ class TestBuildLts:
         fired = 0
         for snap, depth in zip(lts.snapshots, lts.depths):
             if depth < 6:
-                for *_, snap2 in successors(net, snap, scenario.domains):
+                for snap2 in self.assert_matches_reference(net, snap, scenario.domains):
                     fired += 1
                     assert state_key(net, snap2) in stored
         assert fired == lts.edge_count
+
+    def test_relay_matches_reference(self, relay_scenario):
+        net = relay_scenario.net
+        lts = build_lts(net, relay_scenario.initial, domains={})
+        assert not lts.truncated
+        fired = sum(len(self.assert_matches_reference(net, snap, {})) for snap in lts.snapshots)
+        assert fired == lts.edge_count == 1
 
 
 class TestLazyFiring:
