@@ -189,6 +189,7 @@ def _prompt_choice(net, snap: Snapshot, firings) -> Optional[int]:
     for i, (t, sigma) in enumerate(firings):
         bound = ", ".join(f"{v.name}={render_literal(val)}" for v, val in sorted(sigma.items(), key=lambda kv: kv[0].name))
         print(f"  [{i}] {t.name} {{{bound}}}")
+    indices = {str(i): i for i in range(len(firings))}
     while True:
         try:
             raw = input("fire which? (empty to stop) ")
@@ -197,8 +198,11 @@ def _prompt_choice(net, snap: Snapshot, firings) -> Optional[int]:
         raw = raw.strip()
         if not raw:
             return None
-        if raw.isdigit() and int(raw) < len(firings):
-            return int(raw)
+        # Matched as text, not int(): "²" passes isdigit() and a long
+        # numeral exceeds int()'s digit limit; both raise ValueError.
+        choice = indices.get(raw.lstrip("0") or "0")
+        if choice is not None:
+            return choice
         print(f"please enter an index between 0 and {len(firings) - 1}")
 
 
@@ -209,7 +213,11 @@ def _parse_marking_condition(text: str) -> tuple[str, str, int]:
     m = _MARKING_GOAL.match(text)
     if m is None:
         raise ConfigError(f"cannot parse marking condition {text!r}")
-    return m.group(1), m.group(2), int(m.group(3))
+    try:
+        count = int(m.group(3))
+    except ValueError:  # more digits than int() converts
+        raise ConfigError(f"marking count in condition on {m.group(1)!r} is too large") from None
+    return m.group(1), m.group(2), count
 
 
 def _parse_goal(scenario: dsl.Scenario, goal_text: Optional[str], marking_texts: list[str]):

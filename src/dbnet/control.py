@@ -197,7 +197,7 @@ def compile_transition(net: DbNet, t: Transition) -> CompiledTransition:
         variables=t.variables(),
         external=tuple(sorted(t.external_vars() - fresh, key=var_key)),
         fresh=tuple(sorted(fresh, key=var_key)),
-        guard=None if isinstance(t.guard, Truth) else FormulaPlan(t.guard),
+        guard=None if isinstance(t.guard, Truth) else FormulaPlan(t.guard, net.types),
         action=action,
         adds=adds,
         dels=dels,

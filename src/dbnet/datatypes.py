@@ -307,11 +307,11 @@ EQUALITY_PREDICATES = {"string": "=_s", "int": "=_int", "real": "=_r", "bool": "
 ORDER_PREDICATES = {"int": "<_int", "real": "<_r"}
 
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
 
 
 def escape_string(s: str) -> str:
-    return '"' + "".join(_ESCAPES.get(ch, ch) for ch in s) + '"'
+    return '"' + s.translate(_ESCAPES) + '"'
 
 
 def render_literal(v: Value) -> str:

@@ -1042,7 +1042,7 @@ class _Elaborator:
             raise DslValidationError(self.errors)
 
         try:
-            persistence = PersistenceLayer(schema, constraints)
+            persistence = PersistenceLayer(schema, constraints, self.types)
             logic = DataLogicLayer(queries, actions)
             net = DbNet(self.types, persistence, logic, places, transitions)
         except DbNetError as exc:

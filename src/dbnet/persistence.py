@@ -3,18 +3,20 @@
 A `DatabaseInstance` is a frozen set of facts with memoized active domains,
 a canonical ordering for hashing/serialization, and per-layer compliance
 caches (state-space exploration revisits the same instances constantly).
+A `PersistenceLayer` compiles each constraint once, when it is built, over
+the layer's own type domain; `check_compliance` only runs those plans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .datatypes import TypeDomain, Value, by_name, format_decimal, fresh_cache_token, render_literal
 from .errors import DefinitionError
 
 if TYPE_CHECKING:
-    from .query import FormulaPlan, Query
+    from .query import Query
 
 
 @dataclass(frozen=True)
@@ -148,16 +150,6 @@ class Constraint:
 
     name: str
     query: "Query"
-    _plan: "FormulaPlan | None" = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def plan(self) -> "FormulaPlan":
-        """The query's compiled plan, built on first use and kept."""
-        if self._plan is None:
-            from .query import FormulaPlan
-
-            object.__setattr__(self, "_plan", FormulaPlan(self.query))
-        return self._plan
 
 
 @dataclass(frozen=True)
@@ -168,7 +160,8 @@ class ComplianceReport:
 
 class PersistenceLayer:
     """A database schema together with boolean first-order constraints,
-    evaluated over `types` (the built-in catalog when it is None)."""
+    compiled into `plans` over `types` (the built-in catalog when it is
+    None)."""
 
     def __init__(
         self,
@@ -176,27 +169,28 @@ class PersistenceLayer:
         constraints: Iterable[Constraint] = (),
         types: TypeDomain | None = None,
     ):
-        from .query import free_vars
+        from .query import FormulaPlan
 
         self.schema = schema
         self.types = types
         self.constraints: tuple[Constraint, ...] = tuple(constraints)
         self.cache_token = fresh_cache_token()
         by_name(self.constraints, "constraint")
-        for c in self.constraints:
-            if free_vars(c.query):
-                raise DefinitionError(f"constraint {c.name!r} is not a boolean query")
+        self.plans: tuple[tuple[str, FormulaPlan], ...] = tuple(
+            (c.name, FormulaPlan(c.query, types)) for c in self.constraints
+        )
+        for name, plan in self.plans:
+            if plan.inputs:
+                raise DefinitionError(f"constraint {name!r} is not a boolean query")
 
 
 def check_compliance(layer: PersistenceLayer, instance: DatabaseInstance) -> ComplianceReport:
-    """Evaluate every constraint over the layer's type domain; report the
-    names of the violated ones."""
+    """Evaluate every constraint's plan; report the names of the violated
+    ones."""
     cached = instance.cached_compliance(layer.cache_token)
     if cached is not None:
         return cached
-    violated = tuple(
-        c.name for c in layer.constraints if not c.plan.holds(instance, {}, layer.types)
-    )
+    violated = tuple(name for name, plan in layer.plans if not plan.holds(instance, {}))
     report = ComplianceReport(ok=not violated, violated=violated)
     return instance.store_compliance(layer.cache_token, report)
 

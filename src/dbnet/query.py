@@ -8,7 +8,9 @@ quantification are provided as expansion helpers.
 
 Every formula is compiled once into a plan, and the plan is the only
 evaluator behind `entails`, `answers`, `persistence.check_compliance` and
-transition guards (queries over the empty instance).
+transition guards (queries over the empty instance). A plan is compiled over
+the domain that decides its predicate atoms: a named query's own `types`, the
+persistence layer's, the net's for a guard, the one given to `entails`.
 Compiling strips double negations and flattens conjunctions. Then each
 `Exists x`, and each parameter of a named query, gets a *generator*: a
 positive relation atom that mentions `x` and that every model of the body
@@ -189,16 +191,17 @@ def validate_query(
 # its own, so an inner `Exists x` that shadows an outer `x` needs no save and
 # restore. `ctx` is the instance seen through hash indexes.
 
+_CATALOG = builtin_catalog()
+
 
 class _Context:
     """An instance's facts grouped by relation, with hash indexes built on
     first use."""
 
-    __slots__ = ("instance", "types", "rows", "indexes")
+    __slots__ = ("instance", "rows", "indexes")
 
-    def __init__(self, instance: DatabaseInstance, types: TypeDomain):
+    def __init__(self, instance: DatabaseInstance):
         self.instance = instance
-        self.types = types
         self.rows: dict[str, list[tuple[Value, ...]]] = {}
         for fact in instance.facts:
             self.rows.setdefault(fact.relation, []).append(fact.args)
@@ -305,11 +308,12 @@ def _known(q: Query, known: frozenset) -> bool:
 
 
 class _Compiler:
-    """Allocates slots and turns a formula into closures. `known` holds the
-    relation atoms that the enclosing generators make true; a conjunct in
-    `known` is not checked again."""
+    """Allocates slots and turns a formula into closures over `types`.
+    `known` holds the relation atoms that the enclosing generators make
+    true; a conjunct in `known` is not checked again."""
 
-    def __init__(self, inputs: tuple[Variable, ...]):
+    def __init__(self, inputs: tuple[Variable, ...], types: TypeDomain | None):
+        self.eval_predicate = (types or _CATALOG).eval_predicate
         self.template: list = [None] * len(inputs)
         self._consts: dict[Value, int] = {}
 
@@ -369,8 +373,8 @@ class _Compiler:
             relation, args = q.relation, _tuple_getter(self.slots(q.args, scope))
             return lambda ctx, env: Fact(relation, args(env)) in ctx.instance.facts
         if isinstance(q, PredicateAtom):
-            pred, args = q.pred, _tuple_getter(self.slots(q.args, scope))
-            return lambda ctx, env: ctx.types.eval_predicate(pred, args(env))
+            pred, args, eval_predicate = q.pred, _tuple_getter(self.slots(q.args, scope)), self.eval_predicate
+            return lambda ctx, env: eval_predicate(pred, args(env))
         if isinstance(q, Not):
             body = self.conjunction(_conjuncts(q.body), scope, known)
             return lambda ctx, env: not body(ctx, env)
@@ -397,36 +401,38 @@ class _Compiler:
 
 
 class FormulaPlan:
-    """A compiled formula; `holds` decides it under a substitution that
-    covers its free variables."""
+    """A formula compiled over `types` (the built-in catalog when it is
+    None); `holds` decides it under a substitution that covers its free
+    variables."""
 
     __slots__ = ("inputs", "template", "fn")
 
-    def __init__(self, query: Query):
+    def __init__(self, query: Query, types: TypeDomain | None = None):
         self.inputs = free_vars(query)
-        compiler = _Compiler(self.inputs)
+        compiler = _Compiler(self.inputs, types)
         scope = {v: i for i, v in enumerate(self.inputs)}
         self.fn = compiler.conjunction(_conjuncts(query), scope, frozenset())
         self.template = compiler.template
 
-    def holds(self, instance: DatabaseInstance, theta: Substitution, types: TypeDomain | None = None) -> bool:
+    def holds(self, instance: DatabaseInstance, theta: Substitution) -> bool:
         env = self.template.copy()
         for i, var in enumerate(self.inputs):
             try:
                 env[i] = theta[var]
             except KeyError:
                 raise BindingError(f"unbound variable {var!r} during evaluation") from None
-        return self.fn(_Context(instance, types or _CATALOG), env)
+        return self.fn(_Context(instance), env)
 
 
 class AnswerPlan:
-    """A compiled named query: nested loops over each parameter's
-    candidates, in declared order, then what is left of the body."""
+    """A named query compiled over `types`: nested loops over each
+    parameter's candidates, in declared order, then what is left of the
+    body."""
 
     __slots__ = ("width", "template", "loops", "fn")
 
-    def __init__(self, params: tuple[Variable, ...], body: Query):
-        compiler = _Compiler(params)
+    def __init__(self, params: tuple[Variable, ...], body: Query, types: TypeDomain | None):
+        compiler = _Compiler(params, types)
         conjuncts, known = _conjuncts(body), frozenset()
         self.loops = []
         for i, param in enumerate(params):
@@ -436,8 +442,8 @@ class AnswerPlan:
         self.fn = compiler.conjunction(conjuncts, dict(zip(params, range(self.width))), known)
         self.template = compiler.template
 
-    def answers(self, instance: DatabaseInstance, types: TypeDomain | None = None) -> frozenset[tuple[Value, ...]]:
-        ctx, env = _Context(instance, types or _CATALOG), self.template.copy()
+    def answers(self, instance: DatabaseInstance) -> frozenset[tuple[Value, ...]]:
+        ctx, env = _Context(instance), self.template.copy()
         width, fn, loops = self.width, self.fn, self.loops
         result: set[tuple[Value, ...]] = set()
 
@@ -454,29 +460,31 @@ class AnswerPlan:
         return frozenset(result)
 
 
-@lru_cache(maxsize=256)
-def compile_formula(query: Query) -> FormulaPlan:
-    """The plan for `query`, cached by value: the CLI and the benchmark pass
-    the same goal to `entails` for every state."""
-    return FormulaPlan(query)
+@lru_cache(maxsize=16)
+def compile_formula(query: Query, types: TypeDomain | None) -> FormulaPlan:
+    """The plan for `query` over `types`, cached by both: the CLI and the
+    benchmark pass the same goal to `entails` for every state. Each entry
+    keeps its domain alive, so only a few are kept."""
+    return FormulaPlan(query, types)
 
 
 def entails(instance: DatabaseInstance, theta: Substitution, query: Query, *, types: TypeDomain | None = None) -> bool:
-    """The inductive entailment relation; `theta` must cover free(query)."""
-    return compile_formula(query).holds(instance, theta, types)
+    """The inductive entailment relation over `types` (the built-in catalog
+    when it is None); `theta` must cover free(query)."""
+    return compile_formula(query, types).holds(instance, theta)
 
 
 @dataclass(frozen=True)
 class NamedQuery:
-    """A query with an explicitly ordered tuple of free variables, answered
-    over `types` (the built-in catalog when it is None)."""
+    """A query with an explicitly ordered tuple of free variables, compiled
+    and answered over `types` (the built-in catalog when it is None)."""
 
     name: str
     params: tuple[Variable, ...]
     body: Query
     types: TypeDomain | None = field(default=None, repr=False, compare=False)
     cache_token: int = field(init=False, repr=False, compare=False)
-    _plan: AnswerPlan | None = field(default=None, init=False, repr=False, compare=False)
+    plan: AnswerPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if set(self.params) != set(free_vars(self.body)):
@@ -487,13 +495,7 @@ class NamedQuery:
         if len(set(self.params)) != len(self.params):
             raise DefinitionError(f"query {self.name!r}: duplicate parameters")
         object.__setattr__(self, "cache_token", fresh_cache_token())
-
-    @property
-    def plan(self) -> AnswerPlan:
-        """Compiled on first use and kept."""
-        if self._plan is None:
-            object.__setattr__(self, "_plan", AnswerPlan(self.params, self.body))
-        return self._plan
+        object.__setattr__(self, "plan", AnswerPlan(self.params, self.body, self.types))
 
 
 def answers(named: NamedQuery, instance: DatabaseInstance) -> frozenset[tuple[Value, ...]]:
@@ -506,7 +508,5 @@ def answers(named: NamedQuery, instance: DatabaseInstance) -> frozenset[tuple[Va
     cached = instance.cached_answers(named.cache_token)
     if cached is not None:
         return cached
-    return instance.store_answers(named.cache_token, named.plan.answers(instance, named.types))
+    return instance.store_answers(named.cache_token, named.plan.answers(instance))
 
-
-_CATALOG = builtin_catalog()

@@ -32,7 +32,7 @@ from .multiset import EMPTY, Multiset
 from .persistence import (
     DatabaseInstance,
     check_compliance,
-    fact_to_text,
+    instance_to_text,
     validate_instance,
     value_to_json,
 )
@@ -169,7 +169,7 @@ def is_enabled(net: DbNet, snap: Snapshot, t: Transition, sigma: Substitution) -
     for place_name, inscription in t.inputs.items():
         if not snap.marking.tokens(place_name).includes(inscription_binding(inscription, sigma)):
             return False
-    if compiled.guard is not None and not compiled.guard.holds(_NO_FACTS, sigma, net.types):
+    if compiled.guard is not None and not compiled.guard.holds(_NO_FACTS, sigma):
         return False
     fresh = compiled.fresh
     chosen = [sigma[v] for v in fresh]
@@ -278,7 +278,7 @@ def enumerate_bindings(
     external, fresh, guard = compiled.external, compiled.fresh, compiled.guard
     pools: list[Sequence[Value]] | None = None
     for base in matched:
-        if guard is not None and not guard.holds(_NO_FACTS, base, net.types):
+        if guard is not None and not guard.holds(_NO_FACTS, base):
             continue
         if pools is None:
             pools = external_pools(compiled, domains)
@@ -376,13 +376,8 @@ def marking_text(marking: Marking) -> str:
 
 def snapshot_digest(net: DbNet, snap: Snapshot) -> str:
     """A process-independent fingerprint of the snapshot's canonical form."""
-    h = hashlib.sha256()
-    for fact in snap.instance.canonical():
-        h.update(fact_to_text(fact).encode("utf-8"))
-        h.update(b"\n")
-    h.update(b"--\n")
-    h.update(marking_text(snap.marking).encode("utf-8"))
-    return h.hexdigest()
+    text = instance_to_text(snap.instance) + "--\n" + marking_text(snap.marking)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def state_key(net: DbNet, snap: Snapshot):

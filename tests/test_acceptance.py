@@ -244,22 +244,28 @@ def test_criterion_6_determinism(tmp_path):
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
 
-    # Exhaustive exploration: the report does not depend on the process
-    # (string hashing is salted per process unless PYTHONHASHSEED fixes it).
+    # Exhaustive exploration and seeded simulation: the report and the traces
+    # do not depend on the process (string hashing is salted per process
+    # unless PYTHONHASHSEED fixes it).
     goal = "exists t:int . exists e:string . exists d:string . Log(t, e, d)"
-    reports = []
-    for hash_seed in ("1", "2"):
-        out = tmp_path / f"h{hash_seed}.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "dbnet", "explore", TICKET, "--max-states", "5000",
-             "--goal", goal, "--out", str(out)],
-            env={**os.environ, "PYTHONHASHSEED": hash_seed},
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    runs = {
+        "explore": ["explore", TICKET, "--max-states", "5000", "--goal", goal],
+        "simulate-ticket": ["simulate", TICKET, "--seed", "42", "--steps", "200"],
+        "simulate-nu_demo": ["simulate", str(scenario_path("nu_demo")), "--seed", "42", "--steps", "200"],
+    }
+    for name, argv in runs.items():
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"{name}-h{hash_seed}.out"
+            proc = subprocess.run(
+                [sys.executable, "-m", "dbnet", *argv, "--out", str(out)],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], f"{name} depends on the process"
 
 
 @pytest.mark.acceptance("criterion 7 (nu-net subsumption demo)")

@@ -151,11 +151,15 @@ class TestSimulate:
 
     def test_interactive_policy_reads_indices(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "t.jsonl"
-        monkeypatch.setattr("sys.stdin", io.StringIO("0\n0\n\n"))
+        # Lines that are no index in range are answered with the hint: a
+        # superscript digit, a numeral over int()'s digit limit, one too big.
+        junk = ["²", "9" * 5000, "1"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join([*junk, "0", "0", "", ""])))
         code = main(
             ["simulate", RELAY, "--policy", "interactive", "--steps", "5", "--out", str(out)]
         )
         assert code == 0
+        assert capsys.readouterr().out.count("please enter an index between 0 and 0") == len(junk)
         records = read_jsonl(out)
         # one firing (src -> dst), then deadlock before the blank line matters
         assert records[-1]["steps"] == 1
@@ -231,6 +235,10 @@ class TestExplore:
     def test_bad_goal_is_config_error(self, capsys):
         assert main(["explore", RELAY, "--goal", "marking(nowhere) >= 1"]) == 3
         assert "unknown place" in capsys.readouterr().err
+        huge = "marking(dst) >= " + "9" * 5000  # over int()'s digit limit
+        for flag in ("--goal", "--goal-marking"):
+            assert main(["explore", RELAY, flag, huge]) == 3
+            assert "config error: marking count" in capsys.readouterr().err
 
     def test_goal_query_with_free_vars_rejected(self, capsys, tmp_path):
         assert main(["explore", TICKET, "--goal", "Emp(e)"]) == 3

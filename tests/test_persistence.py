@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dbnet.datatypes import Variable, int_value, real_value, string_value
+from dbnet.dsl import _lex
 from dbnet.errors import DefinitionError
 from dbnet.persistence import (
     Constraint,
@@ -156,8 +157,17 @@ class TestCompliance:
 
 class TestSerialization:
     def test_text_escapes_strings(self):
-        inst = DatabaseInstance([ticket(1, 'say "hi"\n')])
-        assert instance_to_text(inst) == 'Ticket(1, "say \\"hi\\"\\n")\n'
+        cases = {
+            'say "hi"\n': '"say \\"hi\\"\\n"',
+            "a\\b": '"a\\\\b"',
+            "a\tb": '"a\\tb"',
+            "a\rb": '"a\\rb"',
+            "ν0": '"ν0"',  # not escaped
+        }
+        for payload, literal in cases.items():
+            assert instance_to_text(DatabaseInstance([ticket(1, payload)])) == f"Ticket(1, {literal})\n"
+            token = _lex(literal)[0]
+            assert (token.kind, token.value) == ("STRING", payload)
 
     def test_text_form_lines(self, schema, catalog):
         inst = DatabaseInstance([emp("ann"), resp("bob", 1)])

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from dbnet import dsl
-from dbnet.control import DbNet, Place
+from dbnet.control import DbNet, Place, Transition
 from dbnet.datalogic import DataLogicLayer
 from dbnet.datatypes import Predicate, TypeDomain, Variable, builtin_catalog, int_value, string_value
 from dbnet.errors import BindingError, ConfigError, DefinitionError
@@ -17,7 +17,7 @@ from dbnet.persistence import (
     RelationSchema,
     check_compliance,
 )
-from dbnet.query import And, NamedQuery, PredicateAtom, RelationAtom, Truth, answers
+from dbnet.query import And, NamedQuery, PredicateAtom, RelationAtom, Truth, answers, entails
 from dbnet.semantics import (
     InstanceInterner,
     align_view_places,
@@ -124,20 +124,24 @@ class TestAlignment:
             )
 
     def test_view_answers_use_the_net_types(self):
-        """A net whose `succ` means "plus two" answers its view query by that
-        meaning, also on an instance that the built-in meaning was asked on."""
+        """A net whose `succ` means "plus two" answers its view query and
+        decides its guards by that meaning, also on an instance that the
+        built-in meaning was asked on; `entails` follows the domain it is
+        given."""
         x, y = Variable("x", "int"), Variable("y", "int")
-        body = And(And(RelationAtom("R", (x,)), RelationAtom("R", (y,))), PredicateAtom("succ", (x, y)))
+        succ = PredicateAtom("succ", (x, y))
+        body = And(And(RelationAtom("R", (x,)), RelationAtom("R", (y,))), succ)
         query = NamedQuery("Step", (x, y), body)
         builtin_int = builtin_catalog().type("int")
         plus_two = Predicate("succ", 2, lambda a, b: b == a + 2)
         types = TypeDomain([dataclasses.replace(builtin_int, predicates={**builtin_int.predicates, "succ": plus_two})])
+        step = Transition("step", inputs={"Pairs": Multiset([(x, y)])}, guard=succ)
         net = DbNet(
             types,
             PersistenceLayer(DatabaseSchema([RelationSchema("R", ("int",))])),
             DataLogicLayer([query]),
-            [Place("Steps", "view", ("int", "int"), "Step")],
-            [],
+            [Place("Steps", "view", ("int", "int"), "Step"), Place("Pairs", "control", ("int", "int"))],
+            [step],
         )
         instance = DatabaseInstance(Fact("R", (int_value(i),)) for i in range(4))
         pairs = lambda *ps: {(int_value(a), int_value(b)) for a, b in ps}
@@ -145,7 +149,21 @@ class TestAlignment:
         assert answers(query, instance) == pairs((0, 1), (1, 2), (2, 3))
         assert net.logic.queries["Step"].types is types
         assert answers(net.logic.queries["Step"], instance) == pairs((0, 2), (1, 3))
-        assert set(make_snapshot(net, instance).marking.tokens("Steps").distinct()) == pairs((0, 2), (1, 3))
+        snap = make_snapshot(net, instance, {"Pairs": Multiset(pairs((0, 1), (0, 2)))})
+        assert set(snap.marking.tokens("Steps").distinct()) == pairs((0, 2), (1, 3))
+
+        one, two = {x: int_value(0), y: int_value(1)}, {x: int_value(0), y: int_value(2)}
+        assert enumerate_bindings(net, snap, step) == [two]
+        assert not is_enabled(net, snap, step, one) and is_enabled(net, snap, step, two)
+        with pytest.raises(BindingError, match="not enabled"):
+            fire(net, snap, step, one, check=True)
+        after, committed = fire(net, snap, step, two, check=True)
+        assert committed and set(after.marking.tokens("Pairs").distinct()) == pairs((0, 1))
+
+        for theta, builtin_says in ((one, True), (two, False)):
+            assert entails(instance, theta, succ) is builtin_says
+            assert entails(instance, theta, succ, types=types) is not builtin_says
+            assert entails(instance, theta, succ, types=None) is builtin_says
 
     def test_make_snapshot_rejects_view_tokens(self, ticket_scenario):
         net = ticket_scenario.net
