@@ -256,7 +256,7 @@ def _make_goal(net, query: Optional[Query], conditions):
         if query is not None and not entails(snap.instance, {}, query, types=net.types):
             return False
         for place, op, k in conditions:
-            if not _OPS[op](len(snap.marking.tokens(place)), k):
+            if not _OPS[op](snap.marking.tokens(place).size(), k):
                 return False
         return True
 

@@ -160,9 +160,10 @@ class CompiledTransition:
     computed once instead of on every call."""
 
     transition: Transition
-    #: One matching slot (input place, inscription tuple) per tuple
-    #: occurrence, in canonical arc/tuple order.
-    slots: tuple[tuple[str, tuple[Term, ...]], ...]
+    #: One matching slot (input place, inscription tuple, multiplicity) per
+    #: distinct tuple, in canonical arc/tuple order. All occurrences of a
+    #: tuple bind the same token, since the first binds all its variables.
+    slots: tuple[tuple[str, tuple[Term, ...], int], ...]
     variables: frozenset[Variable]
     #: Non-fresh output-side variables bound by no input arc, sorted.
     external: tuple[Variable, ...]
@@ -180,10 +181,11 @@ class CompiledTransition:
 
 
 def compile_transition(net: DbNet, t: Transition) -> CompiledTransition:
-    slots: list[tuple[str, tuple[Term, ...]]] = []
-    for place_name in sorted(t.inputs):
-        for tup, mult in t.inputs[place_name].sorted_items(tuple_key):
-            slots.extend([(place_name, tup)] * mult)
+    slots = [
+        (place_name, tup, mult)
+        for place_name in sorted(t.inputs)
+        for tup, mult in t.inputs[place_name].sorted_items(tuple_key)
+    ]
     fresh = t.fresh_vars()
     action, adds, dels = _bound_action(net, t)
     touched = sorted(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .control import ActionBinding, DbNet, Place, Transition, validate_net
 from .datalogic import Action, DataLogicLayer, FactTemplate
@@ -34,7 +34,6 @@ from .persistence import (
     Constraint,
     DatabaseInstance,
     DatabaseSchema,
-    Fact,
     PersistenceLayer,
     RelationSchema,
     check_fact,
@@ -48,6 +47,7 @@ from .query import (
     Query,
     RelationAtom,
     Truth,
+    compile_formula,
     forall,
     free_vars,
     implies,
@@ -67,19 +67,18 @@ RESERVED = {
 
 SECTIONS = ("types", "schema", "constraints", "queries", "actions", "net", "init", "domains", "config")
 
+_TOO_DEEP = "formula nested too deeply"
 
-@dataclass(frozen=True)
-class Span:
+
+class Span(NamedTuple):
     line: int
     col: int
-    end_line: int
-    end_col: int
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
 
 
-NO_SPAN = Span(0, 0, 0, 0)
+NO_SPAN = Span(0, 0)
 
 
 @dataclass(frozen=True)
@@ -126,9 +125,6 @@ class VarRef:
 class LitTerm:
     value: Value
     span: Span = field(compare=False, default=NO_SPAN)
-
-
-TermNode = "VarRef | LitTerm"
 
 
 @dataclass(frozen=True)
@@ -281,13 +277,6 @@ class TransitionDecl:
 
 
 @dataclass(frozen=True)
-class MarkingEntry:
-    place: str
-    tokens: tuple[InscTuple, ...]
-    span: Span = field(compare=False, default=NO_SPAN)
-
-
-@dataclass(frozen=True)
 class DomainDecl:
     type_name: str
     values: tuple[LitTerm, ...]
@@ -311,7 +300,7 @@ class NetDocument:
     places: tuple[PlaceDecl, ...] = ()
     transitions: tuple[TransitionDecl, ...] = ()
     init_facts: tuple[TemplateAtom, ...] = ()
-    init_marking: tuple[MarkingEntry, ...] = ()
+    init_marking: tuple[ArcDecl, ...] = ()
     domains: tuple[DomainDecl, ...] = ()
     config: tuple[ConfigEntry, ...] = ()
 
@@ -319,8 +308,7 @@ class NetDocument:
 # --- lexer --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # IDENT INT REAL STRING PUNCT EOF
     text: str
     span: Span
@@ -352,7 +340,7 @@ _BAD = {'"': "unterminated string literal", "-": "stray '-'"}
 
 
 def _lex_error(line: int, col: int, message: str) -> DslSyntaxError:
-    return DslSyntaxError(Diagnostic("error", Span(line, col, line, col + 1), message))
+    return DslSyntaxError(Diagnostic("error", Span(line, col), message))
 
 
 def _lex(text: str) -> list[_Tok]:
@@ -368,7 +356,7 @@ def _lex(text: str) -> list[_Tok]:
             line, bol = line + 1, stop
             continue
         col, lexeme, value = start - bol + 1, m.group(kind), None
-        span = Span(line, col, line, col + stop - start)
+        span = Span(line, col)
         if kind == "INT":
             try:
                 value = int(lexeme)
@@ -386,8 +374,7 @@ def _lex(text: str) -> list[_Tok]:
         elif kind == "WORD" or kind == "BAD":
             raise _lex_error(line, col, _BAD.get(lexeme[0], f"unexpected character {lexeme[0]!r}"))
         toks.append(_Tok(kind, lexeme, span, value))
-    col = end - bol + 1
-    toks.append(_Tok("EOF", "", Span(line, col, line, col)))
+    toks.append(_Tok("EOF", "", Span(line, end - bol + 1)))
     return toks
 
 
@@ -743,14 +730,14 @@ class _Parser:
             "block", lambda tok: "expected 'facts' or 'marking'",
         )
 
-    def marking_block(self) -> tuple[MarkingEntry, ...]:
+    def marking_block(self) -> tuple[ArcDecl, ...]:
         self.eat_punct("{")
         return self.seq("}", self.marking_entry, ";")
 
-    def marking_entry(self) -> MarkingEntry:
+    def marking_entry(self) -> ArcDecl:
         name = self.eat_name("place name")
         self.eat_punct(":")
-        return MarkingEntry(name.text, self.insc_tuples(), name.span)
+        return ArcDecl(name.text, self.insc_tuples(), name.span)
 
     def _sec_domains(self):
         return self.seq("}", self.domain_decl)
@@ -783,13 +770,20 @@ class _Parser:
 
 def parse(text: str) -> NetDocument:
     """Parse a scenario document; raises DslSyntaxError on the first error."""
-    return _Parser(_lex(text)).document()
+    parser = _Parser(_lex(text))
+    try:
+        return parser.document()
+    except RecursionError:  # a formula nested deeper than the stack allows
+        parser.fail(_TOO_DEEP)
 
 
 def parse_formula(text: str) -> object:
     """Parse a standalone formula (used for goal queries)."""
     parser = _Parser(_lex(text))
-    node = parser.formula()
+    try:
+        node = parser.formula()
+    except RecursionError:
+        parser.fail(_TOO_DEEP)
     if parser.cur.kind != "EOF":
         parser.fail("trailing input after formula")
     return node
@@ -801,7 +795,6 @@ _LEVEL_IMPLIES = 1
 _LEVEL_OR = 2
 _LEVEL_AND = 3
 _LEVEL_UNARY = 4
-_LEVEL_ATOM = 5
 
 
 def _render_term(term) -> str:
@@ -953,7 +946,7 @@ def serialize(doc: NetDocument) -> str:
         if doc.init_marking:
             out.append("  marking {")
             for entry in doc.init_marking:
-                tokens = ", ".join(_render_insc_tuple(t) for t in entry.tokens)
+                tokens = ", ".join(_render_insc_tuple(t) for t in entry.tuples)
                 out.append(f"    {entry.place}: {tokens}")
             out.append("  }")
         out.append("}")
@@ -1242,19 +1235,15 @@ class _Elaborator:
         return out
 
     def _inscription(self, arcs: tuple[ArcDecl, ...], scope) -> dict[str, Multiset]:
-        out: dict[str, Multiset] = {}
+        """One multiset per place of `arcs`; a place named twice gets the sum."""
+        counts: dict[str, dict[tuple, int]] = {}
         for arc in arcs:
-            counts: dict[tuple, int] = {}
+            place = counts.setdefault(arc.place, {})
             for tup in arc.tuples:
                 key = self._terms(tup.terms, scope)
                 if key is not None:
-                    counts[key] = counts.get(key, 0) + tup.mult
-            inscription = Multiset.from_counts(counts)
-            if arc.place in out:
-                out[arc.place] = out[arc.place] + inscription
-            else:
-                out[arc.place] = inscription
-        return out
+                    place[key] = place.get(key, 0) + tup.mult
+        return {name: Multiset.from_counts(c) for name, c in counts.items()}
 
     def _transitions(self) -> list[Transition]:
         out = []
@@ -1299,50 +1288,14 @@ class _Elaborator:
     def _initial(self, net: DbNet) -> Snapshot:
         facts = []
         for atom in self.doc.init_facts:
-            args = []
-            bad = False
-            for term in atom.args:
-                if isinstance(term, VarRef):
-                    self.error(term.span, "init facts must be ground (no variables)")
-                    bad = True
-                    continue
-                if term.value.type_name not in self.types:
-                    self.error(term.span, f"literal has unselected type {term.value.type_name!r}")
-                    bad = True
-                    continue
-                args.append(term.value)
-            if bad:
+            template = self._template(atom, {})
+            if template is None:
                 continue
-            fact = Fact(atom.relation, tuple(args))
             try:
-                check_fact(net.persistence.schema, net.types, fact)
+                facts.append(check_fact(net.persistence.schema, net.types, template.ground({})))
             except DbNetError as exc:
                 self.error(atom.span, str(exc))
-                continue
-            facts.append(fact)
-
-        control_tokens: dict[str, Multiset] = {}
-        for entry in self.doc.init_marking:
-            tokens: dict[tuple, int] = {}
-            for tup in entry.tokens:
-                token = []
-                bad = False
-                for term in tup.terms:
-                    if isinstance(term, VarRef):
-                        self.error(tup.span, "initial tokens must be ground (no variables)")
-                        bad = True
-                        continue
-                    token.append(term.value)
-                if bad:
-                    continue
-                key = tuple(token)
-                tokens[key] = tokens.get(key, 0) + tup.mult
-            ms = Multiset.from_counts(tokens)
-            if entry.place in control_tokens:
-                control_tokens[entry.place] = control_tokens[entry.place] + ms
-            else:
-                control_tokens[entry.place] = ms
-            self.span_index[("init", entry.place)] = entry.span
+        control_tokens = self._inscription(self.doc.init_marking, {})
 
         if self.errors:
             raise DslValidationError(self.errors)
@@ -1416,7 +1369,10 @@ def elaborate(doc: NetDocument) -> Scenario:
     Raises DslValidationError carrying every collected diagnostic; warnings
     are available on the returned Scenario.
     """
-    return _Elaborator(doc).run()
+    try:
+        return _Elaborator(doc).run()
+    except RecursionError:
+        raise DslValidationError([Diagnostic("error", NO_SPAN, _TOO_DEEP)]) from None
 
 
 def elaborate_formula(scenario: Scenario, text: str) -> Query:
@@ -1427,10 +1383,14 @@ def elaborate_formula(scenario: Scenario, text: str) -> Query:
     ela.types = scenario.net.types
     ela.ident_predicates = _ident_predicates(ela.types)
     ela.relations = {r.name: r for r in scenario.document.schema}
-    q = ela._formula(node, {})
-    if ela.errors:
-        raise DslValidationError(ela.errors)
-    problems = validate_query(q, scenario.net.persistence.schema, scenario.net.types)
-    if problems:
-        raise DslValidationError([Diagnostic("error", NO_SPAN, p) for p in problems])
+    try:
+        q = ela._formula(node, {})
+        if ela.errors:
+            raise DslValidationError(ela.errors)
+        problems = validate_query(q, scenario.net.persistence.schema, scenario.net.types)
+        if problems:
+            raise DslValidationError([Diagnostic("error", NO_SPAN, p) for p in problems])
+        compile_formula(q, scenario.net.types)  # cached for `entails`; too deep a plan fails here
+    except RecursionError:
+        raise DslValidationError([Diagnostic("error", NO_SPAN, _TOO_DEEP)]) from None
     return q

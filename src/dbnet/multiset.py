@@ -46,8 +46,12 @@ class Multiset(Generic[T]):
             for _ in range(n):
                 yield x
 
-    def __len__(self) -> int:
+    def size(self) -> int:
+        """The number of elements; unlike `len`, not bounded by sys.maxsize."""
         return sum(self._counts.values())
+
+    def __len__(self) -> int:
+        return self.size()
 
     def __bool__(self) -> bool:
         return bool(self._counts)

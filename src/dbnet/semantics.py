@@ -259,16 +259,16 @@ def enumerate_bindings(
         if i == len(slots):
             matched.append(dict(sigma))
             return
-        place_name, tup = slots[i]
+        place_name, tup, mult = slots[i]
         for token, avail in tokens_cache[place_name]:
-            if used.get((place_name, token), 0) >= avail:
+            if used.get((place_name, token), 0) + mult > avail:
                 continue
             bound = _match_tuple(tup, token, sigma)
             if bound is None:
                 continue
-            used[place_name, token] = used.get((place_name, token), 0) + 1
+            used[place_name, token] = used.get((place_name, token), 0) + mult
             backtrack(i + 1)
-            used[place_name, token] -= 1
+            used[place_name, token] -= mult
             for b in bound:
                 del sigma[b]
 
@@ -404,7 +404,7 @@ class Monitors:
 
     def observe(self, snap: Snapshot, depth: int) -> None:
         for name in snap.marking.place_names():
-            n = len(snap.marking.tokens(name))
+            n = snap.marking.tokens(name).size()
             if n > self.max_place_tokens:
                 self.max_place_tokens = n
         if len(snap.instance) > self.max_instance_facts:

@@ -335,7 +335,7 @@ def random_document(rng: random.Random) -> dsl.NetDocument:
         )
     init_facts = tuple(_rand_template(rng, []) for _ in range(rng.randint(0, 3)))
     init_marking = tuple(
-        dsl.MarkingEntry(
+        dsl.ArcDecl(
             _rand_name(rng),
             tuple(_rand_insc_tuple(rng, [], ground=True) for _ in range(rng.randint(1, 2))),
         )

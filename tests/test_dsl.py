@@ -144,6 +144,20 @@ GOLDEN_DIAGNOSTICS = [
         "schema { }\nnet { place p : (int >< int) transition t { fresh { x: int } in { p -> <x, x> } } }",
         ["2:67: error: transition / t / input arc from 'p': fresh variable 'x' not allowed on an input arc"],
     ),
+    # init is resolved like arcs and actions: the same messages, at the term
+    ("schema { R(int) }\ninit { facts { R(x) } }", ["2:18: error: undeclared variable 'x'"]),
+    (
+        "schema { }\nnet { place p : (int >< int) }\ninit { marking { p: <1, x> } }",
+        ["3:25: error: undeclared variable 'x'"],
+    ),
+    (
+        'types { int }\nschema { }\nnet { place p : (int) }\ninit { marking { p: 2 * <"a"> } }',
+        ["4:26: error: literal \"a\" has unselected type 'string'"],
+    ),
+    (
+        'types { int }\nschema { R(int) }\ninit { facts { R("a") } }',
+        ["3:18: error: literal \"a\" has unselected type 'string'"],
+    ),
 ]
 
 
@@ -158,6 +172,30 @@ def test_golden_diagnostics(text, expected):
     else:
         got = []
     assert got == expected
+
+
+class TestNesting:
+    """A formula nested deeper than the interpreter's stack is a diagnostic."""
+
+    def test_parse_stops_at_a_token(self):
+        deep = ("(" * 3000 + "true" + ")" * 3000, "exists x:int . " * 3000 + "true", "not " * 3000 + "true")
+        for formula in deep:
+            with pytest.raises(dsl.DslSyntaxError) as err:
+                dsl.parse("schema { }\nconstraints { c: " + formula + " }")
+            assert err.value.diagnostic.message == "formula nested too deeply"
+            assert err.value.diagnostic.span.line == 2
+            with pytest.raises(dsl.DslSyntaxError, match="formula nested too deeply"):
+                dsl.parse_formula(formula)
+
+    def test_elaborate_reports_a_long_conjunction(self, relay_scenario):
+        conjunction = " and ".join(["true"] * 3000)
+        doc = dsl.parse("schema { }\nconstraints { c: " + conjunction + " }")
+        with pytest.raises(dsl.DslValidationError) as err:
+            dsl.elaborate(doc)
+        with pytest.raises(dsl.DslValidationError) as goal_err:
+            dsl.elaborate_formula(relay_scenario, conjunction)
+        for exc in (err.value, goal_err.value):
+            assert [str(d) for d in exc.diagnostics] == ["error: formula nested too deeply"]
 
 
 class TestSerialize:
