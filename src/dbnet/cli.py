@@ -294,16 +294,13 @@ def cmd_explore(args) -> int:
         {"transition": name, "binding": binding_to_json(sigma), "committed": committed}
         for name, sigma, committed in lts.witness_path()
     ]
+    monitors = lts.monitors()
     report = {
         "states": lts.state_count,
         "edges": lts.edge_count,
         "truncated": lts.truncated,
         "truncation_reason": lts.truncation_reason,
-        "monitors": {
-            "max_place_tokens": lts.monitors.max_place_tokens,
-            "max_instance_facts": lts.monitors.max_instance_facts,
-            "max_depth": lts.monitors.max_depth,
-        },
+        "monitors": monitors,
         "goal": {
             "specified": goal is not None,
             "reachable": (lts.goal_state is not None) if goal is not None else None,
@@ -324,9 +321,9 @@ def cmd_explore(args) -> int:
     print(f"truncated: {'yes (' + lts.truncation_reason + ')' if lts.truncated else 'no'}")
     print(
         "bound monitors: "
-        f"max tokens in a place = {lts.monitors.max_place_tokens}, "
-        f"max instance size = {lts.monitors.max_instance_facts}, "
-        f"max depth = {lts.monitors.max_depth}"
+        f"max tokens in a place = {monitors['max_place_tokens']}, "
+        f"max instance size = {monitors['max_instance_facts']}, "
+        f"max depth = {monitors['max_depth']}"
     )
     if goal is not None:
         if lts.goal_state is not None:

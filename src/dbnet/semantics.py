@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .control import CompiledTransition, DbNet, Inscription, Transition, token_key
 from .datalogic import ActionInstance, apply_raw, ground
 from .datatypes import (
     Substitution,
-    Term,
     Value,
     Variable,
     apply_substitution,
@@ -192,25 +191,33 @@ def induced_action_instance(
     return ground(compiled.action, compiled.adds, compiled.dels, sigma)
 
 
-def _match_tuple(tup: tuple[Term, ...], token: Token, sigma: Substitution) -> Optional[list[Variable]]:
-    """Try to unify an inscription tuple with a token under (and extending)
-    sigma; returns the newly bound variables, or None on mismatch."""
-    bound: list[Variable] = []
-    for term, value in zip(tup, token):
-        if isinstance(term, Variable):
-            current = sigma.get(term)
-            if current is None:
-                sigma[term] = value
-                bound.append(term)
-            elif current != value:
-                for b in bound:
-                    del sigma[b]
-                return None
-        elif term != value:
-            for b in bound:
-                del sigma[b]
-            return None
-    return bound
+def _extensions(slot, tokens: list[tuple[Token, int]], sigma: Substitution, used: dict):
+    """Each way of matching one slot against its place's `tokens`, in token
+    order: sigma extended to unify the slot's tuple with a token (a copy when
+    a variable gets bound, else sigma itself), while `used` counts the token
+    taken until the next extension is asked for."""
+    place_name, tup, mult = slot
+    for token, avail in tokens:
+        key = (place_name, token)
+        n = used.get(key, 0) + mult
+        if n > avail:
+            continue
+        ext = sigma
+        for term, value in zip(tup, token):
+            if isinstance(term, Variable):
+                current = ext.get(term)
+                if current is None:
+                    if ext is sigma:
+                        ext = dict(sigma)
+                    ext[term] = value
+                elif current != value:
+                    break
+            elif term != value:
+                break
+        else:
+            used[key] = n
+            yield ext
+            used[key] = n - mult
 
 
 def external_pools(compiled: CompiledTransition, domains: InputDomains) -> list[Sequence[Value]]:
@@ -251,28 +258,22 @@ def enumerate_bindings(
         for place_name in t.inputs
     }
 
+    # Depth-first over the slots, one iterator per slot on an explicit stack,
+    # so that the number of slots is not bounded by the interpreter's stack.
+    # Distinct matches are distinct dicts: a slot that binds no variable
+    # matches at most one token.
     matched: list[Substitution] = []
-    sigma: Substitution = {}
     used: dict[tuple[str, Token], int] = {}
-
-    def backtrack(i: int) -> None:
-        if i == len(slots):
-            matched.append(dict(sigma))
-            return
-        place_name, tup, mult = slots[i]
-        for token, avail in tokens_cache[place_name]:
-            if used.get((place_name, token), 0) + mult > avail:
-                continue
-            bound = _match_tuple(tup, token, sigma)
-            if bound is None:
-                continue
-            used[place_name, token] = used.get((place_name, token), 0) + mult
-            backtrack(i + 1)
-            used[place_name, token] -= mult
-            for b in bound:
-                del sigma[b]
-
-    backtrack(0)
+    stack = [iter([{}])]
+    while stack:
+        sigma = next(stack[-1], None)
+        if sigma is None:
+            stack.pop()
+        elif len(stack) > len(slots):
+            matched.append(sigma)
+        else:
+            slot = slots[len(stack) - 1]
+            stack.append(_extensions(slot, tokens_cache[slot[0]], sigma, used))
 
     out: list[Substitution] = []
     external, fresh, guard = compiled.external, compiled.fresh, compiled.guard
@@ -382,56 +383,46 @@ def snapshot_digest(net: DbNet, snap: Snapshot) -> str:
 
 def state_key(net: DbNet, snap: Snapshot):
     """Hashable identity used for deduplication: instance plus control
-    marking (view places are functionally dependent and excluded)."""
-    control = frozenset(
-        (name, snap.marking.tokens(name))
-        for name in snap.marking.place_names()
-        if net.places[name].kind == "control"
-    )
-    return (snap.instance.facts, control)
+    marking, place by place in the net's order (view places are functionally
+    dependent and excluded)."""
+    return (snap.instance.facts, tuple(snap.marking.tokens(p.name) for p in net.control_places()))
 
 
 # --- bounded exploration ------------------------------------------------------
 
 
 @dataclass
-class Monitors:
-    """Width/depth boundedness observations over all stored states."""
-
-    max_place_tokens: int = 0
-    max_instance_facts: int = 0
-    max_depth: int = 0
-
-    def observe(self, snap: Snapshot, depth: int) -> None:
-        for name in snap.marking.place_names():
-            n = snap.marking.tokens(name).size()
-            if n > self.max_place_tokens:
-                self.max_place_tokens = n
-        if len(snap.instance) > self.max_instance_facts:
-            self.max_instance_facts = len(snap.instance)
-        if depth > self.max_depth:
-            self.max_depth = depth
-
-
-@dataclass
 class LTS:
-    """The explored fragment of the snapshot transition graph: its states,
-    their BFS depths and parent pointers, and the number of edges fired
-    between them (the edges themselves are not kept)."""
+    """The explored fragment of the snapshot transition graph: its states
+    in BFS order, their depths and parent pointers, and the number of edges
+    fired between them (the edges themselves are not kept)."""
 
     snapshots: list[Snapshot]
     depths: list[int]
     parents: list[Optional[tuple[int, str, Substitution, bool]]]
     edge_count: int = 0
     initial: int = 0
-    truncated: bool = False
     truncation_reason: str = ""
-    monitors: Monitors = field(default_factory=Monitors)
     goal_state: Optional[int] = None
 
     @property
     def state_count(self) -> int:
         return len(self.snapshots)
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.truncation_reason)
+
+    def monitors(self) -> dict[str, int]:
+        """Width/depth boundedness observations over all stored states."""
+        return {
+            "max_place_tokens": max(
+                (snap.marking.tokens(name).size() for snap in self.snapshots for name in snap.marking.place_names()),
+                default=0,
+            ),
+            "max_instance_facts": max(len(snap.instance) for snap in self.snapshots),
+            "max_depth": self.depths[-1],
+        }
 
     def witness_path(self) -> list[tuple[str, Substitution, bool]]:
         """Firing sequence from the initial state to the goal state."""
@@ -473,44 +464,37 @@ def build_lts(
     discovery order, which is BFS order, so the walk expands them by index.
     Each state's successors are generated in a fixed order (transitions by
     name, then bindings in canonical order) and merged as they come: firing
-    stops at the first successor that would exceed `max_states`. `max_depth`
-    takes effect where a new BFS level begins.
+    stops at the first successor that would exceed `max_states`. Depths never
+    decrease along the stored states, so `max_depth` stops the walk at the
+    first state of that depth.
     """
     intern = InstanceInterner()
     s0 = Snapshot(intern(s0.instance), s0.marking)
     lts = LTS(snapshots=[s0], depths=[0], parents=[None])
-    lts.monitors.observe(s0, 0)
     seen = {state_key(net, s0)}
     if goal is not None and goal(s0):
         lts.goal_state = 0
 
-    level = -1
     # The list iterator also yields the states appended during the walk.
     for sid, snap in enumerate(lts.snapshots):
         depth = lts.depths[sid]
-        if depth > level:
-            level = depth
-            if max_depth is not None and depth >= max_depth:
-                lts.truncated = True
-                lts.truncation_reason = "depth budget reached"
-                break
-        for t in net.sorted_transitions():
-            for sigma in enumerate_bindings(net, snap, t, domains):
-                snap2, committed = fire(net, snap, t, sigma, check=False, intern=intern)
-                key = state_key(net, snap2)
-                if key not in seen:
-                    if max_states is not None and len(lts.snapshots) >= max_states:
-                        lts.truncated = True
-                        lts.truncation_reason = "state budget reached"
-                        return lts
-                    seen.add(key)
-                    if goal is not None and lts.goal_state is None and goal(snap2):
-                        lts.goal_state = len(lts.snapshots)
-                    lts.snapshots.append(snap2)
-                    lts.depths.append(depth + 1)
-                    lts.parents.append((sid, t.name, sigma, committed))
-                    lts.monitors.observe(snap2, depth + 1)
-                lts.edge_count += 1
+        if max_depth is not None and depth >= max_depth:
+            lts.truncation_reason = "depth budget reached"
+            break
+        for t, sigma in enabled_firings(net, snap, domains):
+            snap2, committed = fire(net, snap, t, sigma, check=False, intern=intern)
+            key = state_key(net, snap2)
+            if key not in seen:
+                if max_states is not None and len(lts.snapshots) >= max_states:
+                    lts.truncation_reason = "state budget reached"
+                    return lts
+                seen.add(key)
+                if goal is not None and lts.goal_state is None and goal(snap2):
+                    lts.goal_state = len(lts.snapshots)
+                lts.snapshots.append(snap2)
+                lts.depths.append(depth + 1)
+                lts.parents.append((sid, t.name, sigma, committed))
+            lts.edge_count += 1
     return lts
 
 

@@ -9,6 +9,7 @@ that it can gate CI.
 """
 
 import random
+import sys
 
 from dbnet import cli, dsl
 from dbnet.scenarios import scenario_text
@@ -39,11 +40,14 @@ LITERALS = ("0", "1", "-1", "2", "99999999999999999999", "1" * 5000, "1.5", "-0.
 
 _HEADER = "schema { }\nnet { place src : () place dst : () "
 _DEEP = 3000
+#: More distinct input tuples than the interpreter's stack is deep.
+_WIDE = ", ".join(f"<{i}>" for i in range(sys.getrecursionlimit() + 200))
 
 #: Inputs that ended in a traceback, with the exit code `validate` gives
 #: now: an input arc's multiplicity too large for a list, one that recursed
-#: once per token, a marking larger than sys.maxsize, and formulas nested
-#: deeper than the interpreter's stack.
+#: once per token, an input arc that recursed once per distinct tuple, a
+#: marking larger than sys.maxsize, and formulas nested deeper than the
+#: interpreter's stack.
 REGRESSIONS = {
     "huge_input_multiplicity": (
         _HEADER + "transition t { in { src -> 99999999999999999999 * <> } out { dst -> <> } } }\n"
@@ -53,6 +57,12 @@ REGRESSIONS = {
     "long_input_multiplicity": (
         _HEADER + "transition t { in { src -> 3000 * <> } out { dst -> <> } } }\n"
         "init { marking { src: 3000 * <> } }\n",
+        cli.EXIT_OK,
+    ),
+    "wide_input_arc": (
+        "schema { }\nnet { place src : (int) place dst : () "
+        "transition t { in { src -> " + _WIDE + " } out { dst -> <> } } }\n"
+        "init { marking { src: " + _WIDE + " } }\n",
         cli.EXIT_OK,
     ),
     "huge_marking": (

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from collections import Counter
 
 import pytest
@@ -289,6 +290,66 @@ class TestEnumerateBindings:
         assert len(got) == 1
         values = {v.name: val.payload for v, val in got[0].items()}
         assert values == {"e": "bob", "t": 1, "d": "bug"}
+
+
+    def test_wide_input_arc(self):
+        # One slot per tuple: more slots than the interpreter's stack is deep.
+        n = sys.getrecursionlimit() + 200
+        scenario = dsl.elaborate(dsl.parse(
+            "schema { }\n"
+            "net { place src : (int >< int) place dst : (int)\n"
+            "  transition t { vars { x: int } in { src -> "
+            + ", ".join(f"<x, {i}>" for i in range(n))
+            + " } out { dst -> <x> } }\n}\n"
+            "init { marking { src: " + ", ".join(f"<7, {i}>" for i in range(n)) + " } }\n"
+        ))
+        net, s0 = scenario.net, scenario.initial
+        t = by_name(net, "t")
+        assert enumerate_bindings(net, s0, t) == [{Variable("x", "int"): int_value(7)}]
+
+
+def competing_net(vars_decl, inscription):
+    """A net whose transition `t` matches `inscription` against the tokens
+    of `p`, several of them repeated."""
+    return dsl.elaborate(dsl.parse(
+        "schema { }\n"
+        "net { place p : (int) place q : (int)\n"
+        f"  transition t {{ vars {{ {vars_decl} }} in {{ p -> {inscription} }} out {{ q -> <x> }} }}\n"
+        "}\n"
+        "init { marking { p: 2 * <1>, <2>, 3 * <3> } }\n"
+    ))
+
+
+class TestCompetingTuples:
+    """Several tuples of one input arc draw on the same place's tokens, so a
+    token taken by one is counted against the others."""
+
+    CASES = [
+        ("x: int, y: int", "<x>, <y>"),
+        ("x: int, y: int", "<x>, 2 * <y>"),
+        ("x: int", "<1>, <x>"),
+    ]
+
+    @pytest.mark.parametrize("vars_decl,inscription", CASES)
+    def test_every_state_matches_reference(self, vars_decl, inscription):
+        scenario = competing_net(vars_decl, inscription)
+        lts = build_lts(scenario.net, scenario.initial, domains={})
+        assert not lts.truncated and lts.edge_count > 0
+        fired = sum(
+            len(TestBuildLts.assert_matches_reference(scenario.net, snap, {})) for snap in lts.snapshots
+        )
+        assert fired == lts.edge_count
+
+    def test_canonical_order(self):
+        # p holds 2 * <1>, <2>, 3 * <3>: x and y may share a token only
+        # where the place holds it twice.
+        scenario = competing_net("x: int, y: int", "<x>, <y>")
+        net = scenario.net
+        got = [
+            (sigma[Variable("x", "int")].payload, sigma[Variable("y", "int")].payload)
+            for sigma in enumerate_bindings(net, scenario.initial, by_name(net, "t"))
+        ]
+        assert got == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3)]
 
 
 class TestInducedActionInstance:
