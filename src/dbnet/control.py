@@ -160,10 +160,11 @@ class CompiledTransition:
     computed once instead of on every call."""
 
     transition: Transition
-    #: One matching slot (input place, inscription tuple, multiplicity) per
-    #: distinct tuple, in canonical arc/tuple order. All occurrences of a
-    #: tuple bind the same token, since the first binds all its variables.
-    slots: tuple[tuple[str, tuple[Term, ...], int], ...]
+    #: One matching slot (input place, inscription tuple, multiplicity,
+    #: binds) per distinct tuple, in canonical arc/tuple order. All
+    #: occurrences of a tuple bind the same token, since the first binds all
+    #: its variables; `binds` is False when an earlier slot binds them all.
+    slots: tuple[tuple[str, tuple[Term, ...], int, bool], ...]
     variables: frozenset[Variable]
     #: Non-fresh output-side variables bound by no input arc, sorted.
     external: tuple[Variable, ...]
@@ -181,11 +182,12 @@ class CompiledTransition:
 
 
 def compile_transition(net: DbNet, t: Transition) -> CompiledTransition:
-    slots = [
-        (place_name, tup, mult)
-        for place_name in sorted(t.inputs)
-        for tup, mult in t.inputs[place_name].sorted_items(tuple_key)
-    ]
+    slots, bound = [], set()
+    for place_name in sorted(t.inputs):
+        for tup, mult in t.inputs[place_name].sorted_items(tuple_key):
+            new = {term for term in tup if isinstance(term, Variable)} - bound
+            slots.append((place_name, tup, mult, bool(new)))
+            bound |= new
     fresh = t.fresh_vars()
     action, adds, dels = _bound_action(net, t)
     touched = sorted(

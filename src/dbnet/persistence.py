@@ -1,8 +1,10 @@
 """Typed relational schemas, immutable fact-set instances, and constraints.
 
-A `DatabaseInstance` is a frozen set of facts with memoized active domains,
-a canonical ordering for hashing/serialization, and per-layer compliance
-caches (state-space exploration revisits the same instances constantly).
+A `DatabaseInstance` is a frozen set of facts with one memo for what is
+derived from them (state-space exploration revisits the same instances
+constantly): active domains by type name, query answers and compliance
+reports by `cache_token`, and view-place fragments by net. Its canonical
+fact order is computed on each call, not kept.
 A `PersistenceLayer` compiles each constraint once, when it is built, over
 the layer's own type domain; `check_compliance` only runs those plans.
 """
@@ -73,16 +75,15 @@ def check_fact(schema: DatabaseSchema, types: TypeDomain, fact: Fact) -> Fact:
 
 
 class DatabaseInstance:
-    """An immutable finite set of facts (set semantics, no duplicates)."""
+    """An immutable finite set of facts (set semantics, no duplicates), with
+    a memo, allocated on the first `store`, of what is derived from them;
+    `cached(key) is None` is a miss, an empty stored value a hit."""
 
-    __slots__ = ("facts", "_adom", "_canonical", "_answers", "_compliance")
+    __slots__ = ("facts", "_memo")
 
     def __init__(self, facts: Iterable[Fact] = ()):
         self.facts: frozenset[Fact] = frozenset(facts)
-        self._adom: dict[str, frozenset[Value]] = {}
-        self._canonical: tuple[Fact, ...] | None = None
-        self._answers: dict[int, frozenset] = {}
-        self._compliance: dict[int, "ComplianceReport"] = {}
+        self._memo: dict | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DatabaseInstance):
@@ -101,41 +102,34 @@ class DatabaseInstance:
     def __repr__(self) -> str:
         return f"DatabaseInstance({sorted(map(repr, self.facts))})"
 
+    def cached(self, key):
+        """The value stored under `key`, or None."""
+        return None if self._memo is None else self._memo.get(key)
+
+    def store(self, key, value):
+        """Keep `value` (never None) under `key` and return it."""
+        if self._memo is None:
+            self._memo = {}
+        self._memo[key] = value
+        return value
+
+    # Read by the benchmark's tracer to count cache hits.
+    cached_answers = cached_compliance = cached
+
     def canonical(self) -> tuple[Fact, ...]:
         """Facts in the canonical (relation, tuple) lexicographic order."""
-        if self._canonical is None:
-            self._canonical = tuple(sorted(self.facts, key=Fact.sort_key))
-        return self._canonical
+        return tuple(sorted(self.facts, key=Fact.sort_key))
 
     def active_domain(self, type_name: str) -> frozenset[Value]:
         """All values of the given type occurring in some fact."""
-        cached = self._adom.get(type_name)
-        if cached is None:
-            cached = frozenset(
-                v for f in self.facts for v in f.args if v.type_name == type_name
-            )
-            self._adom[type_name] = cached
-        return cached
+        adom = self.cached(type_name)
+        if adom is None:
+            adom = self.store(type_name, frozenset(v for f in self.facts for v in f.args if v.type_name == type_name))
+        return adom
 
     def with_changes(self, add: Iterable[Fact] = (), remove: Iterable[Fact] = ()) -> "DatabaseInstance":
         """A new instance equal to (self - remove) + add; self is unchanged."""
         return DatabaseInstance((self.facts - frozenset(remove)) | frozenset(add))
-
-    # --- caches keyed by per-object tokens (used by query/compliance code) ---
-
-    def cached_answers(self, token: int) -> frozenset | None:
-        return self._answers.get(token)
-
-    def store_answers(self, token: int, result: frozenset) -> frozenset:
-        self._answers[token] = result
-        return result
-
-    def cached_compliance(self, token: int) -> "ComplianceReport | None":
-        return self._compliance.get(token)
-
-    def store_compliance(self, token: int, report: "ComplianceReport") -> "ComplianceReport":
-        self._compliance[token] = report
-        return report
 
 
 def validate_instance(schema: DatabaseSchema, types: TypeDomain, instance: DatabaseInstance) -> None:
@@ -187,12 +181,11 @@ class PersistenceLayer:
 def check_compliance(layer: PersistenceLayer, instance: DatabaseInstance) -> ComplianceReport:
     """Evaluate every constraint's plan; report the names of the violated
     ones."""
-    cached = instance.cached_compliance(layer.cache_token)
-    if cached is not None:
-        return cached
-    violated = tuple(name for name, plan in layer.plans if not plan.holds(instance, {}))
-    report = ComplianceReport(ok=not violated, violated=violated)
-    return instance.store_compliance(layer.cache_token, report)
+    report = instance.cached(layer.cache_token)
+    if report is None:
+        violated = tuple(name for name, plan in layer.plans if not plan.holds(instance, {}))
+        report = instance.store(layer.cache_token, ComplianceReport(ok=not violated, violated=violated))
+    return report
 
 
 # --- serialization -----------------------------------------------------------

@@ -505,8 +505,8 @@ def answers(named: NamedQuery, instance: DatabaseInstance) -> frozenset[tuple[Va
 
     A boolean query answers {()} when it holds and the empty set otherwise.
     """
-    cached = instance.cached_answers(named.cache_token)
-    if cached is not None:
-        return cached
-    return instance.store_answers(named.cache_token, named.plan.answers(instance))
+    result = instance.cached(named.cache_token)
+    if result is None:
+        result = instance.store(named.cache_token, named.plan.answers(instance))
+    return result
 

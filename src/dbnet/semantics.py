@@ -109,11 +109,14 @@ def check_tokens(net: DbNet, place_name: str, tokens: Multiset) -> None:
 
 def align_view_places(net: DbNet, instance: DatabaseInstance) -> dict[str, Multiset]:
     """Marking fragment holding, for each view place, exactly the answers of
-    its query over `instance`, each with multiplicity one."""
-    fragment: dict[str, Multiset] = {}
-    for place in net.view_places():
-        named = net.logic.queries[place.query_name]
-        fragment[place.name] = Multiset(answers(named, instance))
+    its query over `instance`, each with multiplicity one; kept in the
+    instance's memo, so markings over one instance share it (read only)."""
+    fragment = instance.cached(net)
+    if fragment is None:
+        fragment = instance.store(net, {
+            place.name: Multiset(answers(net.logic.queries[place.query_name], instance))
+            for place in net.view_places()
+        })
     return fragment
 
 
@@ -196,7 +199,7 @@ def _extensions(slot, tokens: list[tuple[Token, int]], sigma: Substitution, used
     order: sigma extended to unify the slot's tuple with a token (a copy when
     a variable gets bound, else sigma itself), while `used` counts the token
     taken until the next extension is asked for."""
-    place_name, tup, mult = slot
+    place_name, tup, mult, _ = slot
     for token, avail in tokens:
         key = (place_name, token)
         n = used.get(key, 0) + mult
@@ -245,23 +248,21 @@ def enumerate_bindings(
 
     Input variables are bound by matching tokens arc by arc; external normal
     variables range over the configured per-type input domains; each fresh
-    variable receives one deterministically generated value per binding.
+    variable receives one deterministically generated value.
 
     Fresh values are new with respect to the pre-state only: they avoid the
-    instance's and the marking's active domains, and each other.
+    instance's and the marking's active domains, and each other, so every
+    binding of one call gets the same ones.
     """
     domains = domains or {}
     compiled = net.compiled(t)
-    slots = compiled.slots
-    tokens_cache = {
-        place_name: snap.marking.tokens(place_name).sorted_items(token_key)
-        for place_name in t.inputs
-    }
+    slots, marking = compiled.slots, snap.marking
+    sorted_tokens = {p: marking.tokens(p).sorted_items(token_key) for p, _, _, binds in slots if binds}
 
     # Depth-first over the slots, one iterator per slot on an explicit stack,
     # so that the number of slots is not bounded by the interpreter's stack.
     # Distinct matches are distinct dicts: a slot that binds no variable
-    # matches at most one token.
+    # matches at most one token, which is looked up instead of scanned for.
     matched: list[Substitution] = []
     used: dict[tuple[str, Token], int] = {}
     stack = [iter([{}])]
@@ -273,7 +274,13 @@ def enumerate_bindings(
             matched.append(sigma)
         else:
             slot = slots[len(stack) - 1]
-            stack.append(_extensions(slot, tokens_cache[slot[0]], sigma, used))
+            place_name, tup, _, binds = slot
+            if binds:
+                tokens = sorted_tokens[place_name]
+            else:
+                token = tuple(apply_substitution(term, sigma) for term in tup)
+                tokens = [(token, marking.tokens(place_name).count(token))]
+            stack.append(_extensions(slot, tokens, sigma, used))
 
     out: list[Substitution] = []
     external, fresh, guard = compiled.external, compiled.fresh, compiled.guard
@@ -283,17 +290,14 @@ def enumerate_bindings(
             continue
         if pools is None:
             pools = external_pools(compiled, domains)
-            fresh_pre = [
-                (v, net.types.type(v.type_name), snapshot_active_domain(snap, v.type_name))
-                for v in fresh
-            ]
+            fresh_values: dict[Variable, Value] = {}
+            for v in fresh:
+                taken = snapshot_active_domain(snap, v.type_name) | set(fresh_values.values())
+                fresh_values[v] = fresh_value(net.types.type(v.type_name), taken)
         for combo in itertools.product(*pools):
             full = dict(base)
             full.update(zip(external, combo))
-            excluded: set[Value] = set()
-            for v, dt, pre in fresh_pre:
-                full[v] = fresh_value(dt, pre | excluded)
-                excluded.add(full[v])
+            full.update(fresh_values)
             out.append(full)
     return out
 
@@ -439,8 +443,8 @@ class LTS:
 
 
 class InstanceInterner:
-    """Canonicalizes equal instances to one object so that compliance and
-    query-answer caches are shared across the whole exploration."""
+    """Canonicalizes equal instances to one object so that its memo is
+    shared across the whole exploration."""
 
     def __init__(self) -> None:
         self._store: dict[frozenset, DatabaseInstance] = {}

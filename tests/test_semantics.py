@@ -7,7 +7,7 @@ import pytest
 from dbnet import dsl
 from dbnet.control import DbNet, Place, Transition
 from dbnet.datalogic import DataLogicLayer
-from dbnet.datatypes import Predicate, TypeDomain, Variable, builtin_catalog, int_value, string_value
+from dbnet.datatypes import Predicate, TypeDomain, Value, Variable, builtin_catalog, int_value, string_value
 from dbnet.errors import BindingError, ConfigError, DefinitionError
 from dbnet.multiset import Multiset
 from dbnet.persistence import (
@@ -34,6 +34,7 @@ from dbnet.semantics import (
     snapshot_digest,
     state_key,
 )
+from dbnet.scenarios import scenario_text
 
 from firings import successors
 from oracles import reference_successors, satisfies, snapshot_key
@@ -292,10 +293,10 @@ class TestEnumerateBindings:
         assert values == {"e": "bob", "t": 1, "d": "bug"}
 
 
-    def test_wide_input_arc(self):
-        # One slot per tuple: more slots than the interpreter's stack is deep.
-        n = sys.getrecursionlimit() + 200
-        scenario = dsl.elaborate(dsl.parse(
+    @staticmethod
+    def wide_arc_net(n):
+        """`t` takes the n tokens <7, i> of `src` with the tuples <x, i>."""
+        return dsl.elaborate(dsl.parse(
             "schema { }\n"
             "net { place src : (int >< int) place dst : (int)\n"
             "  transition t { vars { x: int } in { src -> "
@@ -303,9 +304,51 @@ class TestEnumerateBindings:
             + " } out { dst -> <x> } }\n}\n"
             "init { marking { src: " + ", ".join(f"<7, {i}>" for i in range(n)) + " } }\n"
         ))
+
+    def test_wide_input_arc(self):
+        # One slot per tuple: more slots than the interpreter's stack is deep.
+        scenario = self.wide_arc_net(sys.getrecursionlimit() + 200)
         net, s0 = scenario.net, scenario.initial
         t = by_name(net, "t")
         assert enumerate_bindings(net, s0, t) == [{Variable("x", "int"): int_value(7)}]
+
+    def test_bound_slots_look_up_their_token(self, monkeypatch):
+        # After <x, 0> binds x, each <x, i> grounds to one token: matching
+        # the arc compares values a bounded number of times per tuple, not
+        # once per tuple and token.
+        n = 400
+        scenario = self.wide_arc_net(n)
+        net, s0 = scenario.net, scenario.initial
+        t = by_name(net, "t")
+        assert [binds for *_, binds in net.compiled(t).slots] == [True] + [False] * (n - 1)
+        compared = []
+        original = Value.__eq__
+        monkeypatch.setattr(Value, "__eq__", lambda a, b: compared.append(a) or original(a, b))
+        assert enumerate_bindings(net, s0, t) == [{Variable("x", "int"): int_value(7)}]
+        assert len(compared) < 10 * n
+
+    def test_fresh_values_are_shared_by_the_bindings_of_one_call(self, monkeypatch):
+        import dbnet.semantics as semantics
+
+        scenario = dsl.elaborate(dsl.parse(
+            "schema { R(int) }\n"
+            "net { place p : (int >< int >< int)\n"
+            "  transition mk { vars { a: int } fresh { n1: int, n2: int } out { p -> <a, n1, n2> } }\n}\n"
+            "init { facts { R(3) } }\n"
+        ))
+        net, s0 = scenario.net, scenario.initial
+        t = by_name(net, "mk")
+        domains = {"int": (int_value(5), int_value(9))}
+        made = []
+        original = semantics.fresh_value
+        monkeypatch.setattr(semantics, "fresh_value", lambda *args: made.append(args) or original(*args))
+        got = [
+            {v.name: value.payload for v, value in sigma.items()} for sigma in enumerate_bindings(net, s0, t, domains)
+        ]
+        # Fresh values avoid the pre-state and each other, not the pool.
+        assert got == [{"a": 5, "n1": 4, "n2": 5}, {"a": 9, "n1": 4, "n2": 5}]
+        assert len(made) == 2
+        TestBuildLts.assert_matches_reference(net, s0, domains)
 
 
 def competing_net(vars_decl, inscription):
@@ -660,6 +703,70 @@ class TestInterner:
         a = DatabaseInstance([emp("ann")])
         b = DatabaseInstance([emp("ann")])
         assert intern(a) is intern(b)
+
+
+class TestInstanceMemo:
+    """What is derived from an instance is derived once per instance object
+    and kept in its memo: view fragments, query answers, active domains."""
+
+    @staticmethod
+    def counting(monkeypatch, cls, name):
+        """Record the arguments of every call of `cls.name`."""
+        calls = []
+        original = getattr(cls, name)
+
+        def counted(self, *args):
+            calls.append((self, *args))
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def test_states_over_one_instance_share_view_multisets(self, monkeypatch):
+        from dbnet.query import AnswerPlan
+
+        scenario = dsl.elaborate(dsl.parse(scenario_text("ticket")))
+        net = scenario.net
+        evaluated = self.counting(monkeypatch, AnswerPlan, "answers")
+        lts = build_lts(net, scenario.initial, domains=scenario.domains, max_depth=6)
+        assert lts.truncation_reason == "depth budget reached"
+
+        first = {}
+        for snap in lts.snapshots:
+            owner = first.setdefault(id(snap.instance), snap)
+            for place in net.view_places():
+                assert snap.marking.tokens(place.name) is owner.marking.tokens(place.name)
+        # The initial instance was aligned when the scenario was built; every
+        # later one, once per view query.
+        assert len(first) < len(lts.snapshots)
+        assert len({(plan, id(instance)) for plan, instance in evaluated}) == len(evaluated)
+        assert len(evaluated) == len(net.view_places()) * (len(first) - 1)
+
+    def test_nets_with_different_view_queries_get_their_own_fragment(self, ticket_scenario):
+        text = scenario_text("ticket").replace(
+            "IdleEmp(e:string) := Emp(e) and not exists t:int . Resp(e, t)", "IdleEmp(e:string) := Emp(e)"
+        )
+        other = dsl.elaborate(dsl.parse(text)).net
+        instance = DatabaseInstance(ticket_scenario.initial.instance.facts)
+        mine = align_view_places(ticket_scenario.net, instance)
+        theirs = align_view_places(other, instance)
+        assert mine["IdleEmps"] == Multiset([(string_value("ann"),)])
+        assert theirs["IdleEmps"] == Multiset([(string_value("ann"),), (string_value("bob"),)])
+        assert mine["Tickets"] == theirs["Tickets"]
+        assert align_view_places(ticket_scenario.net, instance) is mine
+        assert align_view_places(other, instance) is theirs
+
+    def test_stored_empty_value_is_a_hit(self, monkeypatch, relay_scenario):
+        stored = self.counting(monkeypatch, DatabaseInstance, "store")
+        e = Variable("e", "string")
+        nobody = NamedQuery("Nobody", (e,), RelationAtom("Emp", (e,)))
+        instance = DatabaseInstance()
+        assert not relay_scenario.net.view_places()
+        for _ in range(3):
+            assert answers(nobody, instance) == frozenset()
+            assert instance.active_domain("int") == frozenset()
+            assert align_view_places(relay_scenario.net, instance) == {}
+        assert [key for _, key, _ in stored] == [nobody.cache_token, "int", relay_scenario.net]
 
 
 class TestGoldenExploration:
