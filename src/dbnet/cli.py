@@ -182,7 +182,7 @@ def cmd_simulate(args) -> int:
 def _prompt_choice(net, snap: Snapshot, firings) -> Optional[int]:
     print("\nview places:")
     for place in net.view_places():
-        tokens = snap.marking.tokens(place.name)
+        tokens = sorted(snap.marking.tokens(place.name))
         body = ", ".join(token_text(tok) for tok in tokens) or "(empty)"
         print(f"  {place.name}: {body}")
     print("enabled firings:")

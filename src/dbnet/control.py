@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Literal, Optional
 
 from .datalogic import Action, DataLogicLayer, FactTemplate, validate_action
-from .datatypes import Term, TypeDomain, Value, Variable, by_name
+from .datatypes import Term, TypeDomain, Variable, by_name
 from .errors import DefinitionError
 from .multiset import EMPTY, Multiset
 from .persistence import PersistenceLayer
@@ -35,15 +35,11 @@ def inscription_vars(inscription: Inscription) -> set[Variable]:
 def term_key(term: Term):
     if isinstance(term, Variable):
         return (0, term.name, term.type_name, term.fresh)
-    return (1, term.type_name, term.sort_key())
+    return (1, term.type_name, term.payload)
 
 
 def tuple_key(tup: tuple[Term, ...]):
     return tuple(term_key(t) for t in tup)
-
-
-def token_key(token: tuple[Value, ...]):
-    return tuple((v.type_name, v.sort_key()) for v in token)
 
 
 @dataclass(frozen=True)
@@ -150,10 +146,6 @@ class DbNet:
         return c
 
 
-def var_key(v: Variable):
-    return (v.name, v.type_name)
-
-
 @dataclass(frozen=True)
 class CompiledTransition:
     """What binding enumeration, enablement and firing need of a transition,
@@ -199,8 +191,8 @@ def compile_transition(net: DbNet, t: Transition) -> CompiledTransition:
         transition=t,
         slots=tuple(slots),
         variables=t.variables(),
-        external=tuple(sorted(t.external_vars() - fresh, key=var_key)),
-        fresh=tuple(sorted(fresh, key=var_key)),
+        external=tuple(sorted(t.external_vars() - fresh)),
+        fresh=tuple(sorted(fresh)),
         guard=None if isinstance(t.guard, Truth) else FormulaPlan(t.guard, net.types),
         action=action,
         adds=adds,

@@ -4,6 +4,11 @@ Every piece of data handled by the engine is a `Value` tagged with the name
 of its `DataType`. Types in a `TypeDomain` have pairwise disjoint value
 domains and pairwise disjoint predicate vocabularies, so a predicate name
 identifies its type unambiguously.
+
+`Value` and `Variable` are named tuples, so they hash, compare and sort as
+their fields do: a value as (type name, payload). Payloads of one type are
+mutually comparable, so the natural order of a value tuple over a fixed
+colour is the canonical order of tokens, and of facts (`persistence.Fact`).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Callable, Iterable, Sequence, TypeVar, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar, Union
 
 from .errors import BindingError, DefinitionError
 
@@ -69,8 +74,7 @@ class DataType:
         return self.kind in _INFINITE_KINDS
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(NamedTuple):
     """A constant: a payload plus the name of the type that owns it."""
 
     type_name: str
@@ -79,14 +83,8 @@ class Value:
     def __repr__(self) -> str:
         return f"Value({self.type_name}, {self.payload!r})"
 
-    def sort_key(self) -> Payload:
-        # Payloads of one type are mutually comparable; callers only sort
-        # values of a single type (or tuples over a fixed color).
-        return self.payload
 
-
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     """A typed variable; `fresh` marks the nu-flavored kind."""
 
     name: str

@@ -12,7 +12,7 @@ the layer's own type domain; `check_compliance` only runs those plans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .datatypes import TypeDomain, Value, by_name, format_decimal, fresh_cache_token, render_literal
 from .errors import DefinitionError
@@ -53,8 +53,7 @@ class DatabaseSchema:
             raise DefinitionError(f"unknown relation {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     """A ground atom R(o1, ..., on)."""
 
     relation: str
@@ -62,9 +61,6 @@ class Fact:
 
     def __repr__(self) -> str:
         return f"{self.relation}({', '.join(repr(a.payload) for a in self.args)})"
-
-    def sort_key(self):
-        return (self.relation, tuple(a.sort_key() for a in self.args))
 
 
 def check_fact(schema: DatabaseSchema, types: TypeDomain, fact: Fact) -> Fact:
@@ -118,7 +114,7 @@ class DatabaseInstance:
 
     def canonical(self) -> tuple[Fact, ...]:
         """Facts in the canonical (relation, tuple) lexicographic order."""
-        return tuple(sorted(self.facts, key=Fact.sort_key))
+        return tuple(sorted(self.facts))
 
     def active_domain(self, type_name: str) -> frozenset[Value]:
         """All values of the given type occurring in some fact."""

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from .control import CompiledTransition, DbNet, Inscription, Transition, token_key
+from .control import CompiledTransition, DbNet, Inscription, Transition
 from .datalogic import ActionInstance, apply_raw, ground
 from .datatypes import (
     Substitution,
@@ -257,7 +257,7 @@ def enumerate_bindings(
     domains = domains or {}
     compiled = net.compiled(t)
     slots, marking = compiled.slots, snap.marking
-    sorted_tokens = {p: marking.tokens(p).sorted_items(token_key) for p, _, _, binds in slots if binds}
+    sorted_tokens = {p: sorted(marking.tokens(p).items()) for p, _, _, binds in slots if binds}
 
     # Depth-first over the slots, one iterator per slot on an explicit stack,
     # so that the number of slots is not bounded by the interpreter's stack.
@@ -373,7 +373,7 @@ def marking_text(marking: Marking) -> str:
         ms = marking.tokens(name)
         body = ", ".join(
             f"{n} * {token_text(tok)}" if n > 1 else token_text(tok)
-            for tok, n in ms.sorted_items(token_key)
+            for tok, n in sorted(ms.items())
         )
         lines.append(f"{name}: {body}\n")
     return "".join(lines)
@@ -538,12 +538,12 @@ def marking_delta(before: Marking, after: Marking) -> dict:
         b, a = before.tokens(name), after.tokens(name)
         added = [
             {"token": [value_json(v) for v in tok], "count": a.count(tok) - b.count(tok)}
-            for tok, _ in a.sorted_items(token_key)
+            for tok in sorted(a.distinct())
             if a.count(tok) > b.count(tok)
         ]
         removed = [
             {"token": [value_json(v) for v in tok], "count": b.count(tok) - a.count(tok)}
-            for tok, _ in b.sorted_items(token_key)
+            for tok in sorted(b.distinct())
             if b.count(tok) > a.count(tok)
         ]
         if added or removed:
@@ -561,8 +561,8 @@ def firing_record(
     after: Snapshot,
 ) -> dict:
     """One JSONL trace record per firing."""
-    added = sorted(after.instance.facts - before.instance.facts, key=lambda f: f.sort_key())
-    deleted = sorted(before.instance.facts - after.instance.facts, key=lambda f: f.sort_key())
+    added = sorted(after.instance.facts - before.instance.facts)
+    deleted = sorted(before.instance.facts - after.instance.facts)
     return {
         "step": step,
         "transition": t.name,

@@ -164,6 +164,22 @@ class TestSimulate:
         # one firing (src -> dst), then deadlock before the blank line matters
         assert records[-1]["steps"] == 1
 
+    def test_interactive_view_tokens_keep_canonical_order_across_hash_seeds(self, tmp_path):
+        outs = []
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "dbnet", "simulate", TICKET, "--policy", "interactive",
+                 "--out", str(tmp_path / "t.jsonl"), "--final-db", str(tmp_path / "f.txt")],
+                input="0\n0\n\n",
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert 'IdleEmps: <"ann">, <"bob">' in outs[0]
+
     def test_rollback_firings_traced(self, tmp_path):
         out = tmp_path / "trace.jsonl"
         main(["simulate", TICKET, "--seed", "3", "--steps", "60", "--out", str(out)])
