@@ -274,7 +274,7 @@ def cmd_explore(args) -> int:
             raise ConfigError(f"state budget must be at least 1, got {max_states}")
         # Exhaustive exploration needs every input domain: fail before the run.
         for t in net.transitions.values():
-            external_pools(net.compiled(t), scenario.domains)
+            external_pools(net, t, scenario.domains)
         query, conditions = _parse_goal(scenario, args.goal, args.goal_marking or [])
     except (ConfigError, dsl.DslValidationError, dsl.DslSyntaxError) as exc:
         _emit(f"config error: {exc}")

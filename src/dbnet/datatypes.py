@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar, Union
 
 from .errors import BindingError, DefinitionError
@@ -107,7 +107,10 @@ Named = TypeVar("Named")
 
 def canon_decimal(text: str) -> Decimal:
     """Parse a plain decimal literal into its canonical exact form."""
-    d = Decimal(text)
+    try:
+        d = Decimal(text)
+    except InvalidOperation:
+        raise DefinitionError(f"not a decimal: {text!r}") from None
     if not d.is_finite():
         raise DefinitionError(f"not a finite decimal: {text!r}")
     return _strip_trailing_zeros(d)
@@ -171,7 +174,7 @@ class TypeDomain:
     def type(self, type_name: str) -> DataType:
         try:
             return self.types[type_name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name read from JSON
             raise DefinitionError(f"unknown type {type_name!r}") from None
 
     def type_of_predicate(self, pred_name: str) -> DataType:
@@ -208,21 +211,6 @@ class TypeDomain:
     def owner_of_payload(self, payload: Payload) -> list[DataType]:
         """All types whose domain contains the payload (disjointness probe)."""
         return [dt for dt in self.types.values() if dt.contains(payload)]
-
-    def eval_predicate(self, pred_name: str, args: list[Value] | tuple[Value, ...]) -> bool:
-        dt = self.type_of_predicate(pred_name)
-        pred = dt.predicates[pred_name]
-        if len(args) != pred.arity:
-            raise DefinitionError(
-                f"predicate {pred_name!r} expects {pred.arity} arguments, got {len(args)}"
-            )
-        for a in args:
-            if a.type_name != dt.name:
-                raise DefinitionError(
-                    f"predicate {pred_name!r} applied to a {a.type_name!r} value"
-                )
-            self.check_value(a)
-        return bool(pred.semantics(*(a.payload for a in args)))
 
 
 def apply_substitution(term: Term, theta: Substitution) -> Value:
@@ -298,6 +286,9 @@ def builtin_catalog() -> TypeDomain:
     )
 
 
+#: The built-in catalog, shared by everything that needs no other domain.
+CATALOG = builtin_catalog()
+
 #: Predicate name used for `a = b` sugar, per type name.
 EQUALITY_PREDICATES = {"string": "=_s", "int": "=_int", "real": "=_r", "bool": "=_bool"}
 
@@ -325,24 +316,11 @@ def render_literal(v: Value) -> str:
 
 
 def payload_from_json(cell: object, type_name: str) -> Value:
-    """Rebuild a value from its JSON cell form (reals travel as strings)."""
-    if type_name == "string":
-        if not isinstance(cell, str):
-            raise DefinitionError(f"expected string, got {cell!r}")
-        return Value("string", cell)
-    if type_name == "int":
-        if not isinstance(cell, int) or isinstance(cell, bool):
-            raise DefinitionError(f"expected int, got {cell!r}")
-        return Value("int", cell)
-    if type_name == "real":
-        if not isinstance(cell, str):
-            raise DefinitionError(f"expected decimal string, got {cell!r}")
-        return Value("real", canon_decimal(cell))
-    if type_name == "bool":
-        if not isinstance(cell, bool):
-            raise DefinitionError(f"expected bool, got {cell!r}")
-        return Value("bool", cell)
-    raise DefinitionError(f"unknown type {type_name!r}")
+    """Rebuild a value of the built-in catalog from its JSON cell form
+    (reals travel as strings)."""
+    if type_name == "real" and isinstance(cell, str):
+        cell = canon_decimal(cell)
+    return CATALOG.check_value(Value(type_name, cell))
 
 
 def string_value(s: str) -> Value:

@@ -19,12 +19,12 @@ from typing import NamedTuple, Optional
 from .control import ActionBinding, DbNet, Place, Transition, validate_net
 from .datalogic import Action, DataLogicLayer, FactTemplate
 from .datatypes import (
+    CATALOG,
     EQUALITY_PREDICATES,
     ORDER_PREDICATES,
     TypeDomain,
     Value,
     Variable,
-    builtin_catalog,
     canon_decimal,
     render_literal,
 )
@@ -998,8 +998,7 @@ class _Elaborator:
         self.doc = doc
         self.errors: list[Diagnostic] = []
         self.warnings: list[Diagnostic] = []
-        self.catalog = builtin_catalog()
-        self.types: TypeDomain = self.catalog
+        self.types: TypeDomain = CATALOG
         self.relations: dict[str, RelDecl] = {}
         self.span_index: dict[tuple, Span] = {}
 
@@ -1068,7 +1067,7 @@ class _Elaborator:
             else:
                 selected.append(ref.name)
         if not self.errors:
-            self.types = TypeDomain([self.catalog.type(n) for n in selected])
+            self.types = TypeDomain([CATALOG.type(n) for n in selected])
 
     def _check_type(self, ref: TypeRef) -> bool:
         if ref.name not in self.types:
@@ -1249,6 +1248,7 @@ class _Elaborator:
         out = []
         for t in self._declared(self.doc.transitions, "transition", "transition"):
             base = ("transition", t.name)
+            self.span_index[("net", t.name)] = t.span  # where a place and a transition share a name
             normal = self._params(t.var_decls, f"transition {t.name!r} vars")
             fresh = self._params(t.fresh_decls, f"transition {t.name!r} fresh", fresh=True)
             clash = set(normal) & set(fresh)

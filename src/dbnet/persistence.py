@@ -5,20 +5,22 @@ derived from them (state-space exploration revisits the same instances
 constantly): active domains by type name, query answers and compliance
 reports by `cache_token`, and view-place fragments by net. Its canonical
 fact order is computed on each call, not kept.
-A `PersistenceLayer` compiles each constraint once, when it is built, over
-the layer's own type domain; `check_compliance` only runs those plans.
+A `PersistenceLayer` compiles each constraint once, on the first compliance
+check, over the layer's own type domain; `check_compliance` only runs those
+plans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .datatypes import TypeDomain, Value, by_name, format_decimal, fresh_cache_token, render_literal
 from .errors import DefinitionError
 
 if TYPE_CHECKING:
-    from .query import Query
+    from .query import FormulaPlan, Query
 
 
 @dataclass(frozen=True)
@@ -159,19 +161,23 @@ class PersistenceLayer:
         constraints: Iterable[Constraint] = (),
         types: TypeDomain | None = None,
     ):
-        from .query import FormulaPlan
+        from .query import free_vars
 
         self.schema = schema
         self.types = types
         self.constraints: tuple[Constraint, ...] = tuple(constraints)
         self.cache_token = fresh_cache_token()
         by_name(self.constraints, "constraint")
-        self.plans: tuple[tuple[str, FormulaPlan], ...] = tuple(
-            (c.name, FormulaPlan(c.query, types)) for c in self.constraints
-        )
-        for name, plan in self.plans:
-            if plan.inputs:
-                raise DefinitionError(f"constraint {name!r} is not a boolean query")
+        for c in self.constraints:
+            if free_vars(c.query):
+                raise DefinitionError(f"constraint {c.name!r} is not a boolean query")
+
+    @cached_property
+    def plans(self) -> tuple[tuple[str, "FormulaPlan"], ...]:
+        """(name, plan) per constraint, compiled on the first evaluation."""
+        from .query import FormulaPlan
+
+        return tuple((c.name, FormulaPlan(c.query, self.types)) for c in self.constraints)
 
 
 def check_compliance(layer: PersistenceLayer, instance: DatabaseInstance) -> ComplianceReport:

@@ -8,10 +8,13 @@ quantification are provided as expansion helpers.
 
 Every formula is compiled once into a plan, and the plan is the only
 evaluator behind `entails`, `answers`, `persistence.check_compliance` and
-transition guards (queries over the empty instance). A plan is compiled over
+transition guards (queries over the empty instance). Named queries and
+constraints are compiled on their first evaluation. A plan is compiled over
 the domain that decides its predicate atoms: a named query's own `types`, the
 persistence layer's, the net's for a guard, the one given to `entails`.
-Compiling strips double negations and flattens conjunctions. Then each
+Compiling resolves each predicate atom to the function that the plan calls
+on the payloads (a DefinitionError if the predicate is unknown or does not
+fit), strips double negations and flattens conjunctions. Then each
 `Exists x`, and each parameter of a named query, gets a *generator*: a
 positive relation atom that mentions `x` and that every model of the body
 satisfies (a conjunct, or a conjunct of a nested `Exists` that does not
@@ -32,19 +35,11 @@ anti-join). An `Exists` without a generator, such as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
-from .datatypes import (
-    Substitution,
-    Term,
-    TypeDomain,
-    Value,
-    Variable,
-    builtin_catalog,
-    fresh_cache_token,
-)
+from .datatypes import CATALOG, Substitution, Term, TypeDomain, Value, Variable, fresh_cache_token
 from .errors import BindingError, DefinitionError
 from .persistence import DatabaseInstance, DatabaseSchema, Fact
 
@@ -191,8 +186,6 @@ def validate_query(
 # its own, so an inner `Exists x` that shadows an outer `x` needs no save and
 # restore. `ctx` is the instance seen through hash indexes.
 
-_CATALOG = builtin_catalog()
-
 
 class _Context:
     """An instance's facts grouped by relation, with hash indexes built on
@@ -207,12 +200,11 @@ class _Context:
             self.rows.setdefault(fact.relation, []).append(fact.args)
         self.indexes: dict[tuple, dict[tuple, dict[Value, None]]] = {}
 
-    def index(self, pattern: tuple) -> dict[tuple, dict[Value, None]]:
-        """Key-column values -> the distinct values in column `out` of the
-        facts of `relation` that have type `type_name` and agree on each
-        pair of `equal` columns; the dicts are used as ordered sets."""
+    def index(self, pattern: tuple, key_of: Callable[[tuple], tuple]) -> dict[tuple, dict[Value, None]]:
+        """Key (`key_of` a row: its `key_cols`) -> the distinct values in column
+        `out` of the facts of `relation` that have type `type_name` and agree
+        on each pair of `equal` columns; the dicts are used as ordered sets."""
         relation, key_cols, equal, out, type_name = pattern
-        key_of = _tuple_getter(key_cols)
         index: dict[tuple, dict[Value, None]] = {}
         for row in self.rows.get(relation, ()):
             value = row[out]
@@ -313,7 +305,7 @@ class _Compiler:
     true; a conjunct in `known` is not checked again."""
 
     def __init__(self, inputs: tuple[Variable, ...], types: TypeDomain | None):
-        self.eval_predicate = (types or _CATALOG).eval_predicate
+        self.types = types or CATALOG
         self.template: list = [None] * len(inputs)
         self._consts: dict[Value, int] = {}
 
@@ -344,14 +336,24 @@ class _Compiler:
             type_name = var.type_name
             return (lambda ctx, env: ctx.instance.active_domain(type_name)), known
         pattern, key = gen.pattern, _tuple_getter(gen.key_slots)
+        key_of = _tuple_getter(pattern[1])  # a row's key columns, in the order `key` reads them from env
 
         def candidates(ctx: _Context, env: list) -> Iterable[Value]:
             index = ctx.indexes.get(pattern)
             if index is None:
-                index = ctx.index(pattern)
+                index = ctx.index(pattern, key_of)
             return index.get(key(env), ())
 
         return candidates, (known | {gen.atom} if gen.covered else known)
+
+    def predicate(self, q: PredicateAtom) -> Callable[..., bool]:
+        """The semantics of `q`'s predicate in `types`; a DefinitionError if
+        the predicate is unknown or its arguments do not fit it."""
+        dt = self.types.type_of_predicate(q.pred)
+        problems = self.types.mismatches(q.args, (dt.name,) * dt.predicates[q.pred].arity)
+        if problems:
+            raise DefinitionError(f"predicate {q.pred!r}: {problems[0]}")
+        return dt.predicates[q.pred].semantics
 
     def conjunction(self, conjuncts: list[Query], scope: Mapping[Variable, int], known: frozenset) -> _Eval:
         parts = [self.node(c, scope, known) for c in conjuncts if not _known(c, known)]
@@ -373,8 +375,8 @@ class _Compiler:
             relation, args = q.relation, _tuple_getter(self.slots(q.args, scope))
             return lambda ctx, env: Fact(relation, args(env)) in ctx.instance.facts
         if isinstance(q, PredicateAtom):
-            pred, args, eval_predicate = q.pred, _tuple_getter(self.slots(q.args, scope)), self.eval_predicate
-            return lambda ctx, env: eval_predicate(pred, args(env))
+            semantics, slots = self.predicate(q), self.slots(q.args, scope)
+            return lambda ctx, env: bool(semantics(*[env[slot].payload for slot in slots]))
         if isinstance(q, Not):
             body = self.conjunction(_conjuncts(q.body), scope, known)
             return lambda ctx, env: not body(ctx, env)
@@ -484,7 +486,6 @@ class NamedQuery:
     body: Query
     types: TypeDomain | None = field(default=None, repr=False, compare=False)
     cache_token: int = field(init=False, repr=False, compare=False)
-    plan: AnswerPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if set(self.params) != set(free_vars(self.body)):
@@ -495,7 +496,11 @@ class NamedQuery:
         if len(set(self.params)) != len(self.params):
             raise DefinitionError(f"query {self.name!r}: duplicate parameters")
         object.__setattr__(self, "cache_token", fresh_cache_token())
-        object.__setattr__(self, "plan", AnswerPlan(self.params, self.body, self.types))
+
+    @cached_property
+    def plan(self) -> AnswerPlan:
+        """The body compiled over `types`, on the first evaluation."""
+        return AnswerPlan(self.params, self.body, self.types)
 
 
 def answers(named: NamedQuery, instance: DatabaseInstance) -> frozenset[tuple[Value, ...]]:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from .control import CompiledTransition, DbNet, Inscription, Transition
+from .control import DbNet, Inscription, Transition
 from .datalogic import ActionInstance, apply_raw, ground
 from .datatypes import (
     Substitution,
@@ -161,13 +161,15 @@ def snapshot_active_domain(snap: Snapshot, type_name: str) -> frozenset[Value]:
 
 
 def is_enabled(net: DbNet, snap: Snapshot, t: Transition, sigma: Substitution) -> bool:
-    """The three enablement clauses: token matching, guard, freshness."""
+    """The three enablement clauses: token matching, guard, freshness; a
+    BindingError if `sigma` misses a variable of `t` or maps one outside its type."""
     compiled = net.compiled(t)
     for v in compiled.variables:
         if v not in sigma:
             raise BindingError(f"binding does not cover {v!r}")
-        if sigma[v].type_name != v.type_name:
-            raise BindingError(f"binding maps {v!r} to a {sigma[v].type_name!r} value")
+        problems = net.types.mismatches((sigma[v],), (v.type_name,))
+        if problems:
+            raise BindingError(f"binding maps {v!r} to {sigma[v]!r}: {problems[0]}")
     for place_name, inscription in t.inputs.items():
         if not snap.marking.tokens(place_name).includes(inscription_binding(inscription, sigma)):
             return False
@@ -223,17 +225,22 @@ def _extensions(slot, tokens: list[tuple[Token, int]], sigma: Substitution, used
             used[key] = n - mult
 
 
-def external_pools(compiled: CompiledTransition, domains: InputDomains) -> list[Sequence[Value]]:
-    """The input domain of each external normal variable, in the compiled
-    order; a ConfigError names the first variable without one."""
+def external_pools(net: DbNet, t: Transition, domains: InputDomains) -> list[Sequence[Value]]:
+    """The input domain of each external normal variable of `t`, in the
+    compiled order; a ConfigError names the first variable without one, or
+    a value of its domain that is not of its type."""
     pools = []
-    for v in compiled.external:
+    for v in net.compiled(t).external:
         pool = domains.get(v.type_name)
         if pool is None:
             raise ConfigError(
-                f"transition {compiled.transition.name!r}: external variable {v.name!r} needs an "
+                f"transition {t.name!r}: external variable {v.name!r} needs an "
                 f"input domain for type {v.type_name!r}"
             )
+        for value in pool:
+            problems = net.types.mismatches((value,), (v.type_name,))
+            if problems:
+                raise ConfigError(f"input domain for type {v.type_name!r}: {value!r}: {problems[0]}")
         pools.append(pool)
     return pools
 
@@ -289,7 +296,7 @@ def enumerate_bindings(
         if guard is not None and not guard.holds(_NO_FACTS, base):
             continue
         if pools is None:
-            pools = external_pools(compiled, domains)
+            pools = external_pools(net, t, domains)
             fresh_values: dict[Variable, Value] = {}
             for v in fresh:
                 taken = snapshot_active_domain(snap, v.type_name) | set(fresh_values.values())
@@ -470,7 +477,8 @@ def build_lts(
     name, then bindings in canonical order) and merged as they come: firing
     stops at the first successor that would exceed `max_states`. Depths never
     decrease along the stored states, so `max_depth` stops the walk at the
-    first state of that depth.
+    first state of that depth. It truncates the exploration only if one of
+    the states left unexpanded has an enabled firing; none is fired.
     """
     intern = InstanceInterner()
     s0 = Snapshot(intern(s0.instance), s0.marking)
@@ -483,7 +491,8 @@ def build_lts(
     for sid, snap in enumerate(lts.snapshots):
         depth = lts.depths[sid]
         if max_depth is not None and depth >= max_depth:
-            lts.truncation_reason = "depth budget reached"
+            if any(enabled_firings(net, s, domains) for s in lts.snapshots[sid:]):
+                lts.truncation_reason = "depth budget reached"
             break
         for t, sigma in enabled_firings(net, snap, domains):
             snap2, committed = fire(net, snap, t, sigma, check=False, intern=intern)
@@ -531,23 +540,22 @@ def fact_json(fact) -> dict:
     return {"relation": fact.relation, "args": [value_json(a) for a in fact.args]}
 
 
+def _surplus(more: Multiset, less: Multiset) -> list[dict]:
+    """Each token that `more` holds more often than `less`, with the excess."""
+    return [
+        {"token": [value_json(v) for v in tok], "count": n - less.count(tok)}
+        for tok, n in sorted(more.items())
+        if n > less.count(tok)
+    ]
+
+
 def marking_delta(before: Marking, after: Marking) -> dict:
     """Per-place token differences, canonically ordered."""
     delta: dict[str, dict] = {}
     for name in sorted(before.place_names() | after.place_names()):
         b, a = before.tokens(name), after.tokens(name)
-        added = [
-            {"token": [value_json(v) for v in tok], "count": a.count(tok) - b.count(tok)}
-            for tok in sorted(a.distinct())
-            if a.count(tok) > b.count(tok)
-        ]
-        removed = [
-            {"token": [value_json(v) for v in tok], "count": b.count(tok) - a.count(tok)}
-            for tok in sorted(b.distinct())
-            if b.count(tok) > a.count(tok)
-        ]
-        if added or removed:
-            delta[name] = {"added": added, "removed": removed}
+        if a != b:
+            delta[name] = {"added": _surplus(a, b), "removed": _surplus(b, a)}
     return delta
 
 

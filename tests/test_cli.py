@@ -205,6 +205,14 @@ class TestExplore:
         assert report["goal"]["witness_length"] == 1
         assert report["goal"]["witness"][0]["transition"] == "step"
 
+    def test_depth_budget_over_deadlocks_only_is_not_truncation(self, capsys):
+        # relay's only state at depth 1 is a deadlock: the budget cuts nothing.
+        assert main(["explore", RELAY, "--max-depth", "1", "--goal", "marking(src) >= 2"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[:3] == ["states: 2", "edges: 1", "truncated: no"]
+        assert "goal: not reachable anywhere (exploration exhausted)" in out
+        assert err == ""
+
     def test_ticket_log_goal_reachable(self, tmp_path):
         out = tmp_path / "lts.json"
         code = main(

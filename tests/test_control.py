@@ -21,7 +21,7 @@ from dbnet.persistence import (
     RelationSchema,
     check_fact,
 )
-from dbnet.query import Exists, NamedQuery, PredicateAtom, RelationAtom, Truth, validate_query
+from dbnet.query import And, Exists, NamedQuery, PredicateAtom, RelationAtom, Truth, validate_query
 from dbnet.semantics import enumerate_bindings, fire, make_snapshot, check_tokens
 from dbnet.persistence import DatabaseInstance
 
@@ -146,6 +146,25 @@ def ticket_like_net(**overrides):
 class TestValidateNet:
     def test_valid_net_has_no_diagnostics(self):
         assert validate_net(ticket_like_net()) == []
+
+    def test_unknown_predicate_is_reported_not_raised(self):
+        # Constraints and view queries are compiled on their first
+        # evaluation, so a net that names an unknown predicate still builds.
+        x = Variable("x", "int")
+        body = And(RelationAtom("R", (x,)), PredicateAtom("nope", (x, x)))
+        net = DbNet(
+            builtin_catalog(),
+            PersistenceLayer(DatabaseSchema([RelationSchema("R", ("int",))]), [Constraint("c", Exists(x, body))]),
+            DataLogicLayer(queries=[NamedQuery("Q", (x,), body)]),
+            [Place("v", "view", ("int",), "Q")],
+            [],
+        )
+        assert [(d.path, d.message) for d in validate_net(net)] == [
+            (("constraints", "c"), "unknown predicate 'nope'"),
+            (("queries", "Q"), "unknown predicate 'nope'"),
+        ]
+        with pytest.raises(DefinitionError, match="unknown predicate 'nope'"):
+            make_snapshot(net, DatabaseInstance())
 
     def test_guard_variable_not_on_input(self):
         x = Variable("x", "int")

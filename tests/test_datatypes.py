@@ -1,4 +1,5 @@
 import random
+import re
 from decimal import Decimal
 
 import pytest
@@ -7,6 +8,7 @@ from dbnet import dsl
 from dbnet.datatypes import (
     DataType,
     Kind,
+    Predicate,
     TypeDomain,
     Value,
     Variable,
@@ -21,41 +23,78 @@ from dbnet.datatypes import (
     string_value,
 )
 from dbnet.errors import BindingError, DefinitionError
+from dbnet.persistence import DatabaseInstance
+from dbnet.query import And, Exists, Not, PredicateAtom, RelationAtom, entails
+from oracles import PREDICATES
+
+EMPTY = DatabaseInstance()
 
 
-class TestEvalPredicate:
-    def test_integer_order(self, catalog):
-        assert catalog.eval_predicate("<_int", (int_value(1), int_value(2)))
-        assert not catalog.eval_predicate("<_int", (int_value(2), int_value(1)))
+#: A few values per catalog type: negative numbers, 1.5 against a
+#: non-canonical 1.50, non-ASCII and generated-looking strings.
+POOLS = {
+    "string": [string_value(s) for s in ("", "a", "ann", "b", "Ärger", "ν0", "日本")],
+    "int": [int_value(i) for i in (-7, -1, 0, 1, 2, 3)],
+    "real": [real_value(t) for t in ("-2.5", "-0.1", "0", "1.5", "2")] + [Value("real", Decimal("1.50"))],
+    "bool": [bool_value(False), bool_value(True)],
+}
 
-    def test_successor(self, catalog):
-        assert catalog.eval_predicate("succ", (int_value(3), int_value(4)))
-        assert not catalog.eval_predicate("succ", (int_value(4), int_value(3)))
 
-    def test_string_equality(self, catalog):
-        assert not catalog.eval_predicate("=_s", (string_value("a"), string_value("b")))
-        assert catalog.eval_predicate("=_s", (string_value("a"), string_value("a")))
+class TestPredicatesInPlans:
+    """Every catalog predicate, decided by a compiled plan, against the
+    oracles' own predicate table; ill-formed atoms fail when compiled."""
 
-    def test_real_comparison(self, catalog):
-        assert catalog.eval_predicate("<_r", (real_value("1.5"), real_value("2.0")))
-        assert catalog.eval_predicate("=_r", (real_value("1.50"), real_value("1.5")))
+    def test_every_catalog_predicate_is_covered(self, catalog):
+        assert sorted(PREDICATES) == sorted(p for dt in catalog.types.values() for p in dt.predicates)
 
-    def test_unknown_predicate(self, catalog):
-        with pytest.raises(DefinitionError):
-            catalog.eval_predicate("nope", ())
+    @pytest.mark.parametrize("pred", sorted(PREDICATES))
+    def test_agrees_with_oracle(self, catalog, pred):
+        type_name = catalog.type_of_predicate(pred).name
+        x, y = Variable("x", type_name), Variable("y", type_name)
+        for a in POOLS[type_name]:
+            for b in POOLS[type_name]:
+                want = PREDICATES[pred](a.payload, b.payload)
+                assert entails(EMPTY, {x: a, y: b}, PredicateAtom(pred, (x, y))) is want, (a, b)
+                assert entails(EMPTY, {}, PredicateAtom(pred, (a, b))) is want, (a, b)
+                assert entails(EMPTY, {x: a}, Not(PredicateAtom(pred, (x, b)))) is not want, (a, b)
 
-    def test_arity_mismatch(self, catalog):
-        with pytest.raises(DefinitionError):
-            catalog.eval_predicate("succ", (int_value(1),))
+    def test_custom_predicate_result_is_a_bool(self):
+        text = DataType("string", Kind.STRING, {"has": Predicate("has", 2, lambda a, b: b in a and a.count(b))})
+        atom = PredicateAtom("has", (string_value("banana"), string_value("an")))
+        assert entails(EMPTY, {}, atom, types=TypeDomain([text])) is True
 
-    def test_type_mismatch(self, catalog):
-        with pytest.raises(DefinitionError):
-            catalog.eval_predicate("<_int", (int_value(1), string_value("x")))
+    @pytest.mark.parametrize(
+        "atom, message",
+        [
+            (PredicateAtom("nope", (int_value(1), int_value(1))), "unknown predicate 'nope'"),
+            (PredicateAtom("succ", (int_value(1),)), "predicate 'succ': expected 2 components, got 1"),
+            (
+                PredicateAtom("<_int", (int_value(1), string_value("x"))),
+                "predicate '<_int': component 2 is 'string', expected 'int'",
+            ),
+            (
+                PredicateAtom("<_int", (Variable("s", "string"), int_value(1))),
+                "predicate '<_int': component 1 is 'string', expected 'int'",
+            ),
+            (
+                PredicateAtom("=_int", (int_value(1), Value("int", "1"))),
+                "predicate '=_int': payload '1' is not in the domain of type 'int'",
+            ),
+        ],
+        ids=["unknown", "arity", "ill-typed", "ill-typed-var", "out-of-domain"],
+    )
+    def test_ill_formed_atom_fails_when_compiled(self, atom, message):
+        s = Variable("s", "string")
+        with pytest.raises(DefinitionError, match=f"^{re.escape(message)}$"):
+            entails(EMPTY, {s: string_value("a")}, atom)
 
-    def test_determinism(self, catalog):
-        args = (int_value(2), int_value(3))
-        results = {catalog.eval_predicate("succ", args) for _ in range(20)}
-        assert results == {True}
+    def test_atom_that_no_evaluation_reaches_still_fails(self):
+        # Over the empty instance the generator yields no candidate, so the
+        # predicate atom is never evaluated: only compiling can reject it.
+        x = Variable("x", "int")
+        query = Exists(x, And(RelationAtom("R", (x,)), PredicateAtom("nope", (x, x))))
+        with pytest.raises(DefinitionError, match="unknown predicate 'nope'"):
+            entails(EMPTY, {}, query)
 
 
 class TestMismatches:
@@ -177,6 +216,11 @@ class TestFreshValue:
 
 
 class TestDecimalsAndLiterals:
+    @pytest.mark.parametrize("text", ["abc", "", "1.2.3", "NaN", "Infinity"])
+    def test_malformed_decimal_is_a_definition_error(self, text):
+        with pytest.raises(DefinitionError, match=re.escape(repr(text))):
+            canon_decimal(text)
+
     def test_canonical_decimal(self):
         assert canon_decimal("1.50") == canon_decimal("1.5")
         assert format_decimal(canon_decimal("1.50")) == "1.5"

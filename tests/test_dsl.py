@@ -158,6 +158,11 @@ GOLDEN_DIAGNOSTICS = [
         'types { int }\nschema { R(int) }\ninit { facts { R("a") } }',
         ["3:18: error: literal \"a\" has unselected type 'string'"],
     ),
+    # a place and a transition that share a name: at the transition
+    (
+        "schema { R(int) } net { place p : (int) transition p { in { p -> <1> } } }",
+        ["1:52: error: net / p: place and transition share a name"],
+    ),
 ]
 
 

@@ -134,6 +134,15 @@ class TestCompliance:
         with pytest.raises(DefinitionError):
             PersistenceLayer(schema, [Constraint("open", RelationAtom("Emp", (e,)))])
 
+    def test_constraint_is_compiled_on_the_first_check(self, schema):
+        # `prefix` is not a catalog predicate: the layer builds (a net over a
+        # domain that has it would rebind it), and only evaluating fails.
+        x = Variable("x", "string")
+        some_a = Constraint("some_a", forall(x, PredicateAtom("prefix", (string_value("a"), x))))
+        layer = PersistenceLayer(schema, [some_a])
+        with pytest.raises(DefinitionError, match="unknown predicate 'prefix'"):
+            check_compliance(layer, DatabaseInstance())
+
     def test_agrees_with_conjunction_query(self, schema):
         # ok iff the conjunction of all constraints holds as one boolean query.
         e = Variable("e", "string")

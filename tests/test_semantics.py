@@ -210,6 +210,24 @@ class TestEnablement:
         with pytest.raises(BindingError):
             is_enabled(net, s0, t, sigma_of(net, "open", e="ann"))
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("d", Value("string", 5), "payload 5 is not in the domain of type 'string'"),
+            ("t", Value("int", "7"), "payload '7' is not in the domain of type 'int'"),
+            ("t", string_value("7"), "component 1 is 'string', expected 'int'"),
+        ],
+    )
+    def test_value_outside_its_variable_domain(self, ticket_scenario, name, value, message):
+        net, s0 = ticket_scenario.net, ticket_scenario.initial
+        t = by_name(net, "open")
+        sigma = sigma_of(net, "open", e="ann", d="bug", t=7)
+        sigma[next(v for v in sigma if v.name == name)] = value
+        with pytest.raises(BindingError, match=message):
+            is_enabled(net, s0, t, sigma)
+        with pytest.raises(BindingError, match=message):
+            fire(net, s0, t, sigma, check=True)
+
     def test_fresh_injectivity(self, catalog, ticket_scenario):
         # Two fresh variables bound to the same value are rejected.
         from dbnet.control import DbNet, Place, Transition
@@ -259,6 +277,12 @@ class TestEnumerateBindings:
         net, s0 = ticket_scenario.net, ticket_scenario.initial
         with pytest.raises(ConfigError):
             enumerate_bindings(net, s0, by_name(net, "open"), {})
+
+    @pytest.mark.parametrize("value", [Value("string", 5), int_value(1)])
+    def test_ill_typed_domain_value_is_config_error(self, ticket_scenario, value):
+        net, s0 = ticket_scenario.net, ticket_scenario.initial
+        with pytest.raises(ConfigError, match="input domain for type 'string'"):
+            enumerate_bindings(net, s0, by_name(net, "open"), {"string": (string_value("bug"), value)})
 
     def test_every_emitted_binding_is_enabled(self, ticket_scenario):
         net, s0 = ticket_scenario.net, ticket_scenario.initial
@@ -543,6 +567,23 @@ class TestBindingJson:
         with pytest.raises(BindingError):
             binding_from_json(by_name(net, "open"), {"zz": {"type": "int", "value": 1}})
 
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            {"type": "real", "value": "abc"},
+            {"type": "real", "value": 1.5},
+            {"type": "int", "value": "7"},
+            {"type": "int", "value": True},
+            {"type": "string", "value": 5},
+            {"type": "bool", "value": 0},
+            {"type": "blob", "value": 1},
+            {"type": ["int"], "value": 1},
+        ],
+    )
+    def test_cell_outside_its_type_rejected(self, ticket_scenario, cell):
+        with pytest.raises(DefinitionError):
+            binding_from_json(by_name(ticket_scenario.net, "open"), {"t": cell})
+
 
 class TestBuildLts:
     def test_relay_has_two_states_one_edge(self, relay_scenario):
@@ -556,6 +597,14 @@ class TestBuildLts:
         assert lts.state_count == 1
         assert lts.truncated
         assert lts.truncation_reason == "state budget reached"
+
+    def test_depth_budget_over_deadlocks_only_is_not_truncation(self, relay_scenario):
+        # relay's only state at depth 1 is a deadlock: a budget of 1 cuts nothing.
+        net, s0 = relay_scenario.net, relay_scenario.initial
+        cut = build_lts(net, s0, domains={}, max_depth=1)
+        full = build_lts(net, s0, domains={}, max_depth=2)
+        assert (cut.state_count, cut.edge_count, cut.truncation_reason) == (2, 1, "")
+        assert (full.state_count, full.edge_count, full.truncation_reason) == (2, 1, "")
 
     def test_max_depth_zero_truncates(self, ticket_scenario):
         lts = build_lts(
